@@ -1,8 +1,9 @@
 #include "arch/dram.h"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
+
+#include "util/logging.h"
 
 namespace reason {
 namespace arch {
@@ -38,9 +39,16 @@ DramAddressMap::DramAddressMap(uint32_t channels, uint32_t ranks,
     : channels_(channels), ranks_(ranks), banksPerRank_(banksPerRank),
       rowBytes_(rowBytes), burstBytes_(burstBytes)
 {
-    assert(isPow2(channels_) && isPow2(ranks_) && isPow2(banksPerRank_));
-    assert(isPow2(rowBytes_) && isPow2(burstBytes_));
-    assert(rowBytes_ >= burstBytes_);
+    // The decode masks below slice address bits, so every dimension
+    // must be a power of two: with 3 channels, `& (channels - 1)`
+    // would never select channel 1.
+    reasonAssert(isPow2(channels_) && isPow2(ranks_) &&
+                     isPow2(banksPerRank_),
+                 "DRAM channels, ranks and banks must be powers of two");
+    reasonAssert(isPow2(rowBytes_) && isPow2(burstBytes_),
+                 "DRAM row and burst sizes must be powers of two");
+    reasonAssert(rowBytes_ >= burstBytes_,
+                 "a DRAM row must hold at least one burst");
     burstsPerRow_ = rowBytes_ / burstBytes_;
     chBits_ = log2Pow2(channels_);
     colBits_ = log2Pow2(burstsPerRow_);
@@ -118,7 +126,7 @@ uint64_t
 DramModel::serviceOne(uint32_t ch)
 {
     ChannelState &c = channels_[ch];
-    assert(!c.pending.empty());
+    reasonAssert(!c.pending.empty(), "serviceOne on an idle channel");
 
     // Bank-level-parallelism sample: distinct banks with queued work.
     {

@@ -17,7 +17,7 @@ namespace {
  * exact same floating-point expressions (bit-identical results).
  *
  * Sum/WeightedSum/Product stay scalar left folds: their results must
- * match Dag::evaluate bit for bit, and reassociating a +/* fold across
+ * match Dag::evaluate bit for bit, and reassociating a + or * fold across
  * SIMD lanes would change the rounding.  Max/Min are associative and
  * commutative over non-NaN doubles, so wide fan-ins fold through
  * 8-lane packs (gathered chunks + fixed reduction tree) with results

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "util/logging.h"
 #include "util/numeric.h"
@@ -96,29 +97,37 @@ staticUpperBounds(const FlatCircuit &flat)
     return ub;
 }
 
-ApproxEvaluator::ApproxEvaluator(const FlatCircuit &flat,
-                                 const ApproxOptions &options)
-    : flat_(flat)
-{
-    reasonAssert(std::isfinite(options.budget) && options.budget >= 0.0,
-                 "accuracy budget must be finite and non-negative");
-    reasonAssert(options.guideEdgeFlow == nullptr ||
-                     options.guideEdgeFlow->size() == flat.numEdges(),
-                 "guide edge flows must align with the lowering");
+namespace {
 
+/** The circuits one pruning pass emits (see ApproxEvaluator). */
+struct Pruned
+{
+    FlatCircuit lower;
+    /** Absent when nothing mass-bearing was dropped. */
+    std::optional<FlatCircuit> upper;
+};
+
+/**
+ * The pruning pass: keep decisions, rest bounds, root reachability,
+ * and the emission of both circuits.  Its O(nodes) temporaries die on
+ * return, before the caller allocates the long-lived evaluators, so
+ * those do not pin the temporaries' memory in the allocator's arena.
+ */
+Pruned
+prune(const FlatCircuit &flat, double budget)
+{
     const size_t n = flat.numNodes();
     const size_t m = flat.numEdges();
     const std::vector<double> ub = staticUpperBounds(flat);
-    const std::vector<double> *guide = options.guideEdgeFlow;
 
-    // Per-edge keep decision.  Sum nodes keep the edges whose score —
-    // static weighted bound, or guided posterior flow — survives the
-    // budget threshold, plus always the best edge; zero-weight edges
-    // are free to drop (exact additive identities).  Products and
-    // leaves keep everything.
+    // Per-edge keep decision.  Sum nodes keep the edges whose static
+    // weighted bound survives the budget threshold, plus always the
+    // best edge; zero-mass edges are free to drop (exact additive
+    // identities).  Products and leaves keep everything.
     std::vector<uint8_t> keep(m, 1);
-    std::vector<double> rest_ub_all(n, kLogZero);
+    std::vector<double> rest_ub(n, kLogZero);
     std::vector<double> rest_terms;
+    bool exact = true;
     for (size_t i = 0; i < n; ++i) {
         if (flat.types[i] != FlatCircuit::kSum)
             continue;
@@ -129,12 +138,8 @@ ApproxEvaluator::ApproxEvaluator(const FlatCircuit &flat,
         double best = kLogZero;
         for (uint32_t e = lo; e < hi; ++e) {
             const double score =
-                guide ? (*guide)[e]
-                      : flat.edgeLogWeight[e] + ub[flat.edgeTarget[e]];
-            const bool mass =
-                guide ? flat.edgeLogWeight[e] != kLogZero
-                      : score != kLogZero;
-            if (!mass) {
+                flat.edgeLogWeight[e] + ub[flat.edgeTarget[e]];
+            if (score == kLogZero) {
                 keep[e] = 0; // contributes exactly nothing
                 continue;
             }
@@ -148,22 +153,11 @@ ApproxEvaluator::ApproxEvaluator(const FlatCircuit &flat,
         }
         if (active == 0)
             continue;
-        if (guide) {
-            // pruneByPosterior rule: keep edges whose calibration
-            // flow reaches budget x the node's average active flow.
-            double total = 0.0;
-            for (uint32_t e = lo; e < hi; ++e)
-                if (keep[e])
-                    total += (*guide)[e];
-            const double thr = options.budget * total / double(active);
-            for (uint32_t e = lo; e < hi; ++e)
-                if (keep[e] && e != best_edge && (*guide)[e] < thr)
-                    keep[e] = 0;
-        } else if (options.budget > 0.0) {
+        if (budget > 0.0) {
             // Beam rule: dropping every edge below
             // best + log(budget/active) discards at most `budget`
             // of the node's statically bounded mass.
-            const double thr = best + std::log(options.budget) -
+            const double thr = best + std::log(budget) -
                                std::log(double(active));
             for (uint32_t e = lo; e < hi; ++e) {
                 if (!keep[e] || e == best_edge)
@@ -182,9 +176,9 @@ ApproxEvaluator::ApproxEvaluator(const FlatCircuit &flat,
             if (!keep[e])
                 rest_terms.push_back(flat.edgeLogWeight[e] +
                                      ub[flat.edgeTarget[e]]);
-        rest_ub_all[i] = foldTerms(rest_terms.data(), rest_terms.size());
-        if (rest_ub_all[i] != kLogZero)
-            exact_ = false;
+        rest_ub[i] = foldTerms(rest_terms.data(), rest_terms.size());
+        if (rest_ub[i] != kLogZero)
+            exact = false;
     }
 
     // Root-reachable restriction over kept edges.
@@ -207,240 +201,118 @@ ApproxEvaluator::ApproxEvaluator(const FlatCircuit &flat,
         }
     }
 
-    // Compact the kept sub-circuit in id order — children before
-    // parents, and kept edges in CSR order, so the budget-0 walk runs
-    // the canonical kernel over the exact same term sequence.
+    // Emit the kept sub-circuit in id order — children before
+    // parents, kept edges in CSR order, so the budget-0 circuit runs
+    // the canonical kernel over the exact same term sequence — with
+    // only the kept leaves, in re-densified slots.  The upper circuit
+    // is the same emission shifted by one id for its empty product,
+    // so both share one remap.
     std::vector<uint32_t> remap(n, kInvalidNode);
     uint32_t next = 0;
     for (size_t i = 0; i < n; ++i)
         if (reach[i])
             remap[i] = next++;
-    types_.reserve(next);
-    leafSlot_.reserve(next);
-    restUb_.reserve(next);
-    edgeOffset_.reserve(next + 1);
-    edgeOffset_.push_back(0);
-    uint32_t max_fan = 0;
-    for (size_t i = 0; i < n; ++i) {
-        if (!reach[i])
-            continue;
-        types_.push_back(flat.types[i]);
-        leafSlot_.push_back(flat.leafSlot[i]);
-        restUb_.push_back(rest_ub_all[i]);
-        for (uint32_t e = flat.edgeOffset[i];
-             e < flat.edgeOffset[i + 1]; ++e) {
-            if (flat.types[i] == FlatCircuit::kSum && !keep[e])
-                continue;
-            edgeTarget_.push_back(remap[flat.edgeTarget[e]]);
-            edgeLogWeight_.push_back(flat.edgeLogWeight[e]);
+    const auto emit = [&](bool upper) {
+        const uint32_t shift = upper ? 1 : 0;
+        FlatCircuit c;
+        c.numVars = flat.numVars;
+        c.arity = flat.arity;
+        c.types.reserve(next + shift);
+        c.leafSlot.reserve(next + shift);
+        c.edgeOffset.reserve(next + shift + 1);
+        c.edgeOffset.push_back(0);
+        if (upper) {
+            // Id 0: the empty product, log value 0 on every row — the
+            // target of every rest edge.
+            c.types.push_back(FlatCircuit::kProduct);
+            c.leafSlot.push_back(kInvalidNode);
+            c.edgeOffset.push_back(0);
         }
-        edgeOffset_.push_back(uint32_t(edgeTarget_.size()));
-        max_fan = std::max(max_fan, edgeOffset_.back() -
-                                        edgeOffset_[edgeOffset_.size() -
-                                                    2]);
-    }
-    root_ = remap[flat.root];
+        for (size_t i = 0; i < n; ++i) {
+            if (!reach[i])
+                continue;
+            c.types.push_back(flat.types[i]);
+            if (flat.types[i] != FlatCircuit::kLeaf) {
+                c.leafSlot.push_back(kInvalidNode);
+            } else {
+                const uint32_t s = flat.leafSlot[i];
+                c.leafSlot.push_back(uint32_t(c.leafVar.size()));
+                c.leafVar.push_back(flat.leafVar[s]);
+                const double *dist =
+                    flat.leafLogDist.data() + size_t(s) * flat.arity;
+                c.leafLogDist.insert(c.leafLogDist.end(), dist,
+                                     dist + flat.arity);
+            }
+            for (uint32_t e = flat.edgeOffset[i];
+                 e < flat.edgeOffset[i + 1]; ++e) {
+                if (flat.types[i] == FlatCircuit::kSum && !keep[e])
+                    continue;
+                c.edgeTarget.push_back(remap[flat.edgeTarget[e]] + shift);
+                c.edgeLogWeight.push_back(flat.edgeLogWeight[e]);
+            }
+            // The rest edge goes last, where the dropped mass folds
+            // in: its term is rest + 0.0 == rest.
+            if (upper && rest_ub[i] != kLogZero) {
+                c.edgeTarget.push_back(0);
+                c.edgeLogWeight.push_back(rest_ub[i]);
+            }
+            c.edgeOffset.push_back(uint32_t(c.edgeTarget.size()));
+        }
+        c.root = remap[flat.root] + shift;
+        c.finalizeTopology();
+        return c;
+    };
+    Pruned out{emit(false), std::nullopt};
+    if (!exact)
+        out.upper = emit(true);
+    return out;
+}
 
-    lo_.resize(types_.size(), kLogZero);
-    hi_.resize(types_.size(), kLogZero);
-    // +1 slot: the upper pass appends the rest bound as one extra term.
-    terms_.resize(size_t(max_fan) + 1, 0.0);
+} // namespace
+
+ApproxEvaluator::ApproxEvaluator(const FlatCircuit &flat,
+                                 const ApproxOptions &options,
+                                 util::ThreadPool *pool)
+    : flat_(flat)
+{
+    reasonAssert(std::isfinite(options.budget) && options.budget >= 0.0,
+                 "accuracy budget must be finite and non-negative");
+    Pruned pruned = prune(flat, options.budget);
+    lower_ = std::make_unique<Pass>(std::move(pruned.lower), pool);
+    if (pruned.upper)
+        upper_ = std::make_unique<Pass>(std::move(*pruned.upper), pool);
+}
+
+ApproxResult
+ApproxEvaluator::result(double lo, double hi) const
+{
+    // No slack when nothing was dropped: the exact tier's bits.
+    if (isExact())
+        return {lo, lo, lo};
+    return {lo, padLo(lo), padHi(hi)};
 }
 
 ApproxResult
 ApproxEvaluator::query(const Assignment &x)
 {
-    reasonAssert(x.size() >= flat_.numVars, "assignment too short");
-    const size_t n = types_.size();
-    double *lov = lo_.data();
-    double *hiv = hi_.data();
-    const uint32_t *off = edgeOffset_.data();
-    const uint32_t *tgt = edgeTarget_.data();
-    const double *lw = edgeLogWeight_.data();
-    for (size_t i = 0; i < n; ++i) {
-        switch (types_[i]) {
-          case FlatCircuit::kLeaf: {
-            const uint32_t s = leafSlot_[i];
-            const uint32_t v = x[flat_.leafVar[s]];
-            double val;
-            if (v == kMissing) {
-                val = 0.0; // marginalized: sums to 1
-            } else {
-                reasonAssert(v < flat_.arity,
-                             "assignment value out of range");
-                val = flat_.leafLogDist[size_t(s) * flat_.arity + v];
-            }
-            lov[i] = val;
-            hiv[i] = val;
-            break;
-          }
-          case FlatCircuit::kProduct: {
-            double acc_lo = 0.0;
-            double acc_hi = 0.0;
-            for (uint32_t e = off[i]; e < off[i + 1]; ++e) {
-                acc_lo += lov[tgt[e]];
-                acc_hi += hiv[tgt[e]];
-            }
-            lov[i] = acc_lo;
-            hiv[i] = acc_hi;
-            break;
-          }
-          case FlatCircuit::kSum: {
-            // Lower endpoint: the canonical two-pass logsumexp over
-            // the kept edges — term for term the exact kernel, so a
-            // nothing-dropped evaluator is bit-identical to
-            // CircuitEvaluator.
-            const uint32_t lo_e = off[i];
-            const uint32_t hi_e = off[i + 1];
-            const size_t fan = hi_e - lo_e;
-            for (uint32_t e = lo_e; e < hi_e; ++e)
-                terms_[e - lo_e] = lw[e] + lov[tgt[e]];
-            lov[i] = foldTerms(terms_.data(), fan);
-            // Upper endpoint: same fold with the per-node static rest
-            // bound appended, covering every dropped edge.  A kLogZero
-            // rest is an exact identity, so the exact case stays
-            // bit-identical.
-            for (uint32_t e = lo_e; e < hi_e; ++e)
-                terms_[e - lo_e] = lw[e] + hiv[tgt[e]];
-            terms_[fan] = restUb_[i];
-            hiv[i] = foldTerms(terms_.data(), fan + 1);
-            break;
-          }
-        }
-    }
-    ApproxResult r;
-    r.value = lov[root_];
-    if (exact_) {
-        r.lo = r.value;
-        r.hi = r.value;
-    } else {
-        r.lo = padLo(lov[root_]);
-        r.hi = padHi(hiv[root_]);
-    }
-    return r;
+    const double lo = lower_->eval.logLikelihood(x);
+    return result(lo, upper_ ? upper_->eval.logLikelihood(x) : lo);
 }
 
 void
 ApproxEvaluator::queryBatch(const std::vector<Assignment> &xs,
                             std::vector<ApproxResult> &out)
 {
+    batchLo_.resize(xs.size());
+    lower_->eval.logLikelihoodBatch(xs, batchLo_);
+    if (upper_) {
+        batchHi_.resize(xs.size());
+        upper_->eval.logLikelihoodBatch(xs, batchHi_);
+    }
+    const std::vector<double> &hi = upper_ ? batchHi_ : batchLo_;
     out.resize(xs.size());
     for (size_t i = 0; i < xs.size(); ++i)
-        out[i] = query(xs[i]);
-}
-
-LogEvidenceEstimate
-estimateLogEvidence(const FlatCircuit &flat, const Assignment &evidence,
-                    size_t numSamples, uint64_t seed)
-{
-    reasonAssert(evidence.size() >= flat.numVars,
-                 "evidence assignment too short");
-    LogEvidenceEstimate est;
-    est.samples = numSamples;
-    if (numSamples == 0) {
-        est.logZ = kLogZero;
-        return est;
-    }
-
-    // Fixed-seed LCG (PCG multiplier/increment): the whole estimate is
-    // one serial draw stream, a pure function of the arguments.
-    uint64_t state = seed;
-    auto next01 = [&state]() {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        return double(state >> 11) * 0x1.0p-53;
-    };
-
-    std::vector<double> logw(numSamples, 0.0);
-    std::vector<uint32_t> stack;
-    for (size_t s = 0; s < numSamples; ++s) {
-        double acc = 0.0;
-        stack.clear();
-        stack.push_back(flat.root);
-        while (!stack.empty() && acc != kLogZero) {
-            const uint32_t i = stack.back();
-            stack.pop_back();
-            switch (flat.types[i]) {
-              case FlatCircuit::kLeaf: {
-                const uint32_t slot = flat.leafSlot[i];
-                const uint32_t v = evidence[flat.leafVar[slot]];
-                if (v != kMissing) {
-                    reasonAssert(v < flat.arity,
-                                 "assignment value out of range");
-                    acc += flat.leafLogDist[size_t(slot) * flat.arity +
-                                            v];
-                }
-                break;
-              }
-              case FlatCircuit::kProduct: {
-                for (uint32_t e = flat.edgeOffset[i];
-                     e < flat.edgeOffset[i + 1]; ++e)
-                    stack.push_back(flat.edgeTarget[e]);
-                break;
-              }
-              case FlatCircuit::kSum: {
-                const uint32_t lo = flat.edgeOffset[i];
-                const uint32_t hi = flat.edgeOffset[i + 1];
-                double total = 0.0;
-                for (uint32_t e = lo; e < hi; ++e)
-                    if (flat.edgeLogWeight[e] != kLogZero)
-                        total += std::exp(flat.edgeLogWeight[e]);
-                if (!(total > 0.0)) {
-                    acc = kLogZero; // all-zero sum: exact zero mass
-                    break;
-                }
-                const double u = next01() * total;
-                double run = 0.0;
-                uint32_t chosen = kInvalidNode;
-                uint32_t last_pos = kInvalidNode;
-                for (uint32_t e = lo; e < hi; ++e) {
-                    if (flat.edgeLogWeight[e] == kLogZero)
-                        continue;
-                    last_pos = e;
-                    run += std::exp(flat.edgeLogWeight[e]);
-                    if (run >= u) {
-                        chosen = e;
-                        break;
-                    }
-                }
-                if (chosen == kInvalidNode)
-                    chosen = last_pos; // fp tail: fall to the last
-                // Unnormalized sums need the proposal correction
-                // w/q = total; log(1) == 0 keeps normalized sums
-                // untouched.
-                acc += std::log(total);
-                stack.push_back(flat.edgeTarget[chosen]);
-                break;
-              }
-            }
-        }
-        logw[s] = acc;
-    }
-
-    double peak = kLogZero;
-    for (double w : logw)
-        peak = std::max(peak, w);
-    if (peak == kLogZero) {
-        est.logZ = kLogZero;
-        return est;
-    }
-    std::vector<double> a(numSamples, 0.0);
-    double sum_a = 0.0;
-    for (size_t s = 0; s < numSamples; ++s) {
-        a[s] = logw[s] == kLogZero ? 0.0 : std::exp(logw[s] - peak);
-        sum_a += a[s];
-    }
-    const double mean_a = sum_a / double(numSamples);
-    est.logZ = peak + std::log(mean_a);
-    if (numSamples > 1) {
-        double ss = 0.0;
-        for (double v : a)
-            ss += (v - mean_a) * (v - mean_a);
-        const double var = ss / double(numSamples - 1);
-        // Delta method: se(log mean) ~= se(mean) / mean.
-        est.stdError =
-            std::sqrt(var / double(numSamples)) / mean_a;
-    }
-    return est;
+        out[i] = result(batchLo_[i], hi[i]);
 }
 
 } // namespace pc

@@ -3,9 +3,10 @@
  * Query-time budgeted approximate inference over the flat CSR
  * substrate: the anytime tier of the serving stack (REASON Sec. V-B
  * applied to the PC workload; cf. A-NeSI-style budgeted approximate
- * inference).
+ * inference).  Pruning produces smaller circuits that the one exact
+ * engine (CircuitEvaluator) runs — there is no second evaluator.
  *
- * Three pieces:
+ * Two pieces:
  *
  *  - **staticUpperBounds** — per-node, evidence-independent upper
  *    bounds on the log value any assignment can produce (leaf: at
@@ -14,54 +15,46 @@
  *    weighted child bounds).  These order sum edges by the most mass
  *    they could ever contribute.
  *
- *  - **ApproxEvaluator** — a top-k/beam evaluator: at construction it
- *    keeps, per sum node, the edges whose static score is within the
- *    accuracy budget of the node's best edge (always keeping the
+ *  - **ApproxEvaluator** — a top-k/beam pruning pass: at construction
+ *    it keeps, per sum node, the edges whose static score is within
+ *    the accuracy budget of the node's best edge (always keeping the
  *    best), drops the rest, restricts to the root-reachable
  *    sub-circuit, and pre-folds the dropped edges of each sum into a
- *    single static *rest* bound.  A query then runs one scalar
- *    interval pass over the kept sub-circuit: the lower endpoint is
- *    the exact log value of the pruned circuit (the canonical
- *    sum-layer kernel expressions of flat_pc.cc, term for term), the
- *    upper endpoint additionally folds each sum's rest bound.  The
- *    reported interval **always contains the exact answer** — the
- *    differential harness (tests/test_approx.cc) enforces zero
- *    violations over the random-circuit corpus.  With budget 0 the
- *    evaluator keeps every mass-bearing edge in CSR order and the
- *    value is **bit-identical** to CircuitEvaluator — the exact tier
- *    expressed as the degenerate beam.
+ *    single static *rest* bound.  It emits two FlatCircuits:
  *
- *    The optional posterior guide (calibration edge flows from
- *    FlowAccumulator / accumulateDatasetFlows) replaces the static
- *    score with observed posterior usage — the query-time
- *    generalization of hmm::pruneByPosterior's
- *    threshold-relative-to-average-usage rule.  Soundness does not
- *    depend on the guide: the rest bounds always cover whatever was
- *    dropped.
+ *      - `lower`, the kept sub-circuit: its exact log value is the
+ *        point value and the lower endpoint;
+ *      - `upper` (only when something mass-bearing was dropped), the
+ *        same circuit plus one empty product (log value 0) at id 0,
+ *        with each sum that dropped mass given one extra *last* edge
+ *        to it whose log-weight is the sum's rest bound.
  *
- *  - **estimateLogEvidence** — an importance-sampled (likelihood
- *    weighting) estimator of log P(evidence) with a variance-derived
- *    standard error, driven by a fixed-seed LCG so the estimate is a
- *    pure function of (circuit, evidence, samples, seed).
+ *    Queries run both through CircuitEvaluator — single rows and
+ *    8-row SIMD blocks alike — and pad the endpoints by a tiny
+ *    relative slack.  The reported interval **always contains the
+ *    exact answer** — the differential harness (tests/test_approx.cc)
+ *    enforces zero violations over the random-circuit corpus.  With
+ *    budget 0 only exact additive identities are dropped, no upper
+ *    circuit exists, and the value is **bit-identical** to
+ *    CircuitEvaluator — the exact tier expressed as the degenerate
+ *    beam.
  *
  * **Determinism contract.**  Construction and queries are pure
  * functions of (FlatCircuit, options) and the assignment: no global
- * RNG, no thread-count dependence (queries are scalar and
- * row-independent), so results are bit-identical across threads,
- * batch shapes, and dispatcher counts — the same contract as every
- * exact kernel.
+ * RNG, and the emitted circuits inherit CircuitEvaluator's
+ * bit-identity across batch shapes, thread counts, and SIMD backends,
+ * so results are bit-identical however rows are batched or served.
  *
  * **Thread-safety.**  One ApproxEvaluator serves one caller at a
- * time (scratch reuse); the referenced FlatCircuit must outlive it.
- * Immutable after construction except for the query scratch, so one
- * evaluator per thread over a shared FlatCircuit is the concurrent
- * pattern.
+ * time (evaluator scratch); the referenced FlatCircuit must outlive
+ * it.  One evaluator per thread over a shared FlatCircuit is the
+ * concurrent pattern.
  */
 
 #ifndef REASON_PC_APPROX_H
 #define REASON_PC_APPROX_H
 
-#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "pc/flat_pc.h"
@@ -88,16 +81,6 @@ struct ApproxOptions
      * Must be finite and non-negative.
      */
     double budget = 0.0;
-    /**
-     * Optional posterior guide: calibration edge flows aligned with
-     * FlatCircuit::edgeTarget (FlowAccumulator::edgeFlow or
-     * DatasetFlows::edgeFlow).  When set, an edge is kept iff its
-     * observed flow reaches `budget` times the node's average active
-     * flow (the pruneByPosterior rule); the static bounds still cover
-     * whatever the guide drops, so the interval stays sound.  The
-     * pointee must stay alive during construction only.
-     */
-    const std::vector<double> *guideEdgeFlow = nullptr;
 };
 
 /** One approximate query answer: point value plus a containing bound. */
@@ -120,25 +103,31 @@ struct ApproxResult
 class ApproxEvaluator
 {
   public:
+    /**
+     * @param flat  circuit to prune; must outlive the evaluator.
+     * @param pool  worker pool of the emitted circuits' evaluators;
+     *              nullptr selects util::globalThreadPool().
+     */
     ApproxEvaluator(const FlatCircuit &flat,
-                    const ApproxOptions &options = {});
+                    const ApproxOptions &options = {},
+                    util::ThreadPool *pool = nullptr);
 
     /** Interval query for one (possibly partial) assignment. */
     ApproxResult query(const Assignment &x);
 
     /**
-     * Batched interval queries: one result per row.  Rows are
-     * evaluated independently by the scalar query kernel, so every
-     * row is bit-identical to a standalone query() — the coalescing
-     * contract of the serving engine.
+     * Batched interval queries: one result per row, through
+     * CircuitEvaluator::logLikelihoodBatch on each emitted circuit, so
+     * every row is bit-identical to a standalone query() — the
+     * coalescing contract of the serving engine.
      */
     void queryBatch(const std::vector<Assignment> &xs,
                     std::vector<ApproxResult> &out);
 
     /** Nodes kept after pruning + reachability restriction. */
-    size_t keptNodes() const { return types_.size(); }
+    size_t keptNodes() const { return lower_->flat.numNodes(); }
     /** Edges kept across all kept nodes. */
-    size_t keptEdges() const { return edgeTarget_.size(); }
+    size_t keptEdges() const { return lower_->flat.numEdges(); }
     /** Nodes / edges of the underlying FlatCircuit. */
     size_t totalNodes() const { return flat_.numNodes(); }
     size_t totalEdges() const { return flat_.numEdges(); }
@@ -147,58 +136,36 @@ class ApproxEvaluator
      * then report lo == value == hi with zero slack, bit-identical
      * to the exact tier (always the case at budget 0).
      */
-    bool isExact() const { return exact_; }
+    bool isExact() const { return upper_ == nullptr; }
 
     const FlatCircuit &flat() const { return flat_; }
 
   private:
+    /** An emitted circuit and its evaluator, at a stable address (the
+     *  evaluator references the circuit). */
+    struct Pass
+    {
+        Pass(FlatCircuit circuit, util::ThreadPool *pool)
+            : flat(std::move(circuit)), eval(flat, pool)
+        {
+        }
+        FlatCircuit flat;
+        CircuitEvaluator eval;
+    };
+
+    /** Point value plus the padded interval of one row. */
+    ApproxResult result(double lo, double hi) const;
+
     const FlatCircuit &flat_;
-    bool exact_ = true;
-
-    /** Compact kept sub-circuit, id order preserved (topological). */
-    std::vector<uint8_t> types_;
-    std::vector<uint32_t> edgeOffset_;
-    std::vector<uint32_t> edgeTarget_; ///< compact ids
-    std::vector<double> edgeLogWeight_;
-    /** Per kept node: original leaf slot, or kInvalidNode. */
-    std::vector<uint32_t> leafSlot_;
-    /** Per kept node: logsumexp of (weight + static ub) over this
-     *  sum's *dropped* edges; kLogZero when nothing was dropped. */
-    std::vector<double> restUb_;
-    uint32_t root_ = kInvalidNode;
-
-    /** Query scratch: per-node interval endpoints + sum-term buffer. */
-    std::vector<double> lo_;
-    std::vector<double> hi_;
-    std::vector<double> terms_;
+    /** The kept sub-circuit: value and lower endpoint. */
+    std::unique_ptr<Pass> lower_;
+    /** Kept sub-circuit plus the rest edges: upper endpoint; null
+     *  when isExact(). */
+    std::unique_ptr<Pass> upper_;
+    /** Per-row batch scratch of the two endpoints. */
+    std::vector<double> batchLo_;
+    std::vector<double> batchHi_;
 };
-
-/** Importance-sampling estimate of log P(evidence). */
-struct LogEvidenceEstimate
-{
-    /** Log of the sample mean of the importance weights. */
-    double logZ = 0.0;
-    /**
-     * Delta-method standard error of logZ (relative standard error
-     * of the linear-space mean); 0 when the estimate is exact-zero
-     * or from a single sample.
-     */
-    double stdError = 0.0;
-    size_t samples = 0;
-};
-
-/**
- * Likelihood-weighted estimate of log P(evidence): top-down descent
- * sampling each sum edge proportionally to its weight, accumulating
- * the evidence leaf masses (kMissing variables marginalize out).
- * Unbiased in linear space for smooth, decomposable circuits.
- * Driven by a private LCG seeded with `seed`: the result is a pure
- * deterministic function of the arguments.
- */
-LogEvidenceEstimate estimateLogEvidence(const FlatCircuit &flat,
-                                        const Assignment &evidence,
-                                        size_t numSamples,
-                                        uint64_t seed);
 
 } // namespace pc
 } // namespace reason

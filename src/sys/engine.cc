@@ -1,5 +1,6 @@
 #include "sys/engine.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -454,7 +455,8 @@ ReasonEngine::approxEvaluatorFor(Dispatcher &disp,
         entry.flat = std::move(keepAlive);
         pc::ApproxOptions opts;
         opts.budget = budget;
-        entry.eval = std::make_unique<pc::ApproxEvaluator>(flat, opts);
+        entry.eval = std::make_unique<pc::ApproxEvaluator>(
+            flat, opts, disp.evalPool.get());
         it = disp.approxEvaluators.emplace(key, std::move(entry)).first;
     }
     return *it->second.eval;
@@ -466,26 +468,57 @@ ReasonEngine::executeApproxGroup(
     const std::vector<std::shared_ptr<Request>> &group)
 {
     // An approx shard coalesces requests of one lowering but possibly
-    // different budgets; each request runs against the evaluator built
-    // for exactly its budget.  Queries are scalar and row-independent
-    // (pc::ApproxEvaluator::queryBatch), so outputs and bounds are
-    // bit-identical no matter how the group was coalesced — the same
-    // contract as the exact tier.
+    // different budgets.  The requests of each budget are gathered into
+    // one queryBatch against the evaluator built for exactly that
+    // budget — the gather → one pass → scatter shape of
+    // executeCircuitGroup.  Every row runs through CircuitEvaluator's
+    // canonical block kernel with independent lanes, so outputs and
+    // bounds are bit-identical no matter how the group was coalesced
+    // or which requests shared a pass — the same contract as the exact
+    // tier.
     const pc::FlatCircuit &flat = *static_cast<const pc::FlatCircuit *>(
         group.front()->groupKey);
-    for (const auto &r : group) {
+    std::vector<Request *> &order = disp.approxOrder;
+    order.clear();
+    for (const auto &r : group)
+        order.push_back(r.get());
+    // Budgets are validated positive and finite: `<` is a strict weak
+    // order and equal values are equal evaluator keys.
+    std::sort(order.begin(), order.end(),
+              [](const Request *a, const Request *b) {
+                  return a->accuracyBudget < b->accuracyBudget;
+              });
+    for (size_t first = 0; first < order.size();) {
+        const double budget = order[first]->accuracyBudget;
+        size_t last = first;
+        size_t total = 0;
+        for (; last < order.size() && order[last]->accuracyBudget == budget;
+             ++last)
+            total += order[last]->rows.size();
+
+        disp.groupRows.resize(total);
+        size_t at = 0;
+        for (size_t k = first; k < last; ++k)
+            for (const pc::Assignment &x : order[k]->rows)
+                disp.groupRows[at++].assign(x.begin(), x.end());
         pc::ApproxEvaluator &eval = approxEvaluatorFor(
-            disp, flat, r->accuracyBudget, r->session->lowering);
-        eval.queryBatch(r->rows, disp.approxOut);
-        const size_t n = r->rows.size();
-        r->outputs.resize(n);
-        r->boundLo.resize(n);
-        r->boundHi.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-            r->outputs[i] = disp.approxOut[i].value;
-            r->boundLo[i] = disp.approxOut[i].lo;
-            r->boundHi[i] = disp.approxOut[i].hi;
+            disp, flat, budget, order[first]->session->lowering);
+        eval.queryBatch(disp.groupRows, disp.approxOut);
+
+        at = 0;
+        for (size_t k = first; k < last; ++k) {
+            Request &r = *order[k];
+            const size_t n = r.rows.size();
+            r.outputs.resize(n);
+            r.boundLo.resize(n);
+            r.boundHi.resize(n);
+            for (size_t i = 0; i < n; ++i, ++at) {
+                r.outputs[i] = disp.approxOut[at].value;
+                r.boundLo[i] = disp.approxOut[at].lo;
+                r.boundHi[i] = disp.approxOut[at].hi;
+            }
         }
+        first = last;
     }
 }
 

@@ -456,7 +456,9 @@ class ReasonEngine
         /** Approximate-tier evaluators, keyed (lowering, budget). */
         std::unordered_map<ApproxKey, CachedApprox, ApproxKeyHash>
             approxEvaluators;
-        /** Reused approx result scratch. */
+        /** Reused approx scratch: the group ordered by budget, and
+         *  the results of one budget's gathered rows. */
+        std::vector<Request *> approxOrder;
         std::vector<pc::ApproxResult> approxOut;
         /** Reused group scratch (rows, outputs) — no per-batch
          *  allocation once warm. */

@@ -265,8 +265,9 @@ TEST(Constrained, RequiredStatePinsPath)
         DecodeConstraints dc;
         dc.required.push_back({3, s});
         ViterbiResult r = constrainedViterbi(h, obs, dc);
-        if (r.logProb != kLogZero)
+        if (r.logProb != kLogZero) {
             EXPECT_EQ(r.path[3], s);
+        }
     }
 }
 

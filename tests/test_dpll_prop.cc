@@ -157,8 +157,9 @@ TEST(DpllProp, CubeAndConquerAgreesWithDpll)
         CubeAndConquerResult cc = cubeAndConquer(f, 3);
         EXPECT_EQ(cc.result, direct) << "trial " << trial << "\n"
                                      << f.toDimacs();
-        if (cc.result == SolveResult::Sat)
+        if (cc.result == SolveResult::Sat) {
             EXPECT_TRUE(f.evaluate(cc.model));
+        }
     }
 }
 

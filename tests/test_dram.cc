@@ -93,6 +93,14 @@ TEST(DramAddressMap, RowSpanWindowSharesRow)
     EXPECT_TRUE(next.row != 0 || next.bank != 0);
 }
 
+TEST(DramAddressMap, RejectsGeometryTheBitSlicingCannotMap)
+{
+    // Checked in every build type: a 3-channel mask would never select
+    // channel 1, and a row smaller than a burst has no column bits.
+    EXPECT_DEATH(DramAddressMap(3, 1, 8, 2048, 32), "powers of two");
+    EXPECT_DEATH(DramAddressMap(8, 1, 8, 16, 32), "at least one burst");
+}
+
 TEST(DramTiming, ClosedBankPaysActivate)
 {
     DramModel dram(defaultCfg());

@@ -154,7 +154,8 @@ TEST(PreSolve, PigeonholeViaPreprocessAndCdcl)
     logic::CnfFormula f = logic::pigeonhole(5);
     logic::Preprocessor pre(f);
     pre.run();
-    if (!pre.knownUnsat())
+    if (!pre.knownUnsat()) {
         EXPECT_EQ(logic::solveCnf(pre.simplified()),
                   logic::SolveResult::Unsat);
+    }
 }

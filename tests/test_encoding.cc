@@ -186,7 +186,8 @@ TEST(Encoding, DisassemblyMentionsEveryBlock)
     Program p = compileRandom(99, 6, 20);
     std::string listing = disassemble(p);
     for (size_t b = 0; b < p.blocks.size(); ++b)
-        EXPECT_NE(listing.find("B" + std::to_string(b) + ":"),
+        EXPECT_NE(listing.find(
+                      std::string("B").append(std::to_string(b)).append(":")),
                   std::string::npos);
     EXPECT_NE(listing.find("dest:"), std::string::npos);
     EXPECT_NE(listing.find("root = B"), std::string::npos);

@@ -125,8 +125,9 @@ TEST(Hmm, BandedTransitionsRespectBand)
         for (uint32_t t = 0; t < states; ++t) {
             uint32_t dist = std::min((s + states - t) % states,
                                      (t + states - s) % states);
-            if (dist > band)
+            if (dist > band) {
                 EXPECT_EQ(h.transition(s, t), 0.0);
+            }
         }
     }
     // Rows remain distributions.

@@ -163,8 +163,9 @@ TEST_P(CdclRandom, MatchesBruteForce)
     SolveResult r = solveCnf(f, &model);
     ASSERT_NE(r, SolveResult::Unknown);
     EXPECT_EQ(r == SolveResult::Sat, expect_sat);
-    if (r == SolveResult::Sat)
+    if (r == SolveResult::Sat) {
         EXPECT_TRUE(f.evaluate(model));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CdclRandom, ::testing::Range(0, 40));
@@ -206,8 +207,9 @@ TEST_P(CubeConquer, EquivalentToCdcl)
     CubeAndConquerResult cc = cubeAndConquer(f, 3);
     EXPECT_EQ(cc.result, direct);
     EXPECT_GE(cc.numCubes, 1u);
-    if (cc.result == SolveResult::Sat)
+    if (cc.result == SolveResult::Sat) {
         EXPECT_TRUE(f.evaluate(cc.model));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CubeConquer, ::testing::Range(0, 16));

@@ -157,10 +157,12 @@ TEST(NnfFuzz, RandomGarbage)
         for (size_t i = 0; i < len; ++i)
             text += pool[size_t(rng.uniformInt(0, int64_t(pool.size()) - 1))];
         ParseOutcome out = parseBoth(text);
-        if (!out.textOk)
+        if (!out.textOk) {
             EXPECT_FALSE(out.textErr.message.empty()) << text;
-        if (!out.streamOk)
+        }
+        if (!out.streamOk) {
             EXPECT_FALSE(out.streamErr.message.empty()) << text;
+        }
     }
 }
 
@@ -183,8 +185,8 @@ TEST(NnfFuzz, StructuredGarbage)
                 int64_t k = rng.uniformInt(0, 3);
                 text += "A " + std::to_string(k);
                 for (int64_t c = 0; c < k; ++c)
-                    text +=
-                        " " + std::to_string(rng.uniformInt(0, nodes));
+                    text.append(" ").append(
+                        std::to_string(rng.uniformInt(0, nodes)));
                 break;
               }
               default: {
@@ -192,8 +194,8 @@ TEST(NnfFuzz, StructuredGarbage)
                 text += "O " + std::to_string(rng.uniformInt(-1, 5)) +
                         " " + std::to_string(k);
                 for (int64_t c = 0; c < k; ++c)
-                    text +=
-                        " " + std::to_string(rng.uniformInt(0, nodes));
+                    text.append(" ").append(
+                        std::to_string(rng.uniformInt(0, nodes)));
                 break;
               }
             }

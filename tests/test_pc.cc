@@ -210,8 +210,9 @@ TEST(PruneFraction, NeverOrphansSumNodes)
     PcPruneResult pr = pruneFraction(c, data, 0.9);
     for (NodeId id = 0; id < pr.pruned.numNodes(); ++id) {
         const PcNode &n = pr.pruned.node(id);
-        if (n.type == PcNodeType::Sum)
+        if (n.type == PcNodeType::Sum) {
             EXPECT_GE(n.children.size(), 1u);
+        }
     }
 }
 

@@ -235,8 +235,9 @@ TEST(Preprocess, PigeonholeStaysUnsat)
     CnfFormula f = pigeonhole(4);
     Preprocessor pre(f);
     pre.run();
-    if (!pre.knownUnsat())
+    if (!pre.knownUnsat()) {
         EXPECT_EQ(solveCnf(pre.simplified()), SolveResult::Unsat);
+    }
 }
 
 TEST(Preprocess, OneShotHelperReportsStats)

@@ -61,9 +61,10 @@ TEST(Stress, StarvedSramOnlyCostsTime)
     BcpResult r2 = slow.decide(logic::Lit::make(0, false));
     EXPECT_EQ(r1.conflict, r2.conflict);
     EXPECT_EQ(r1.implications.size(), r2.implications.size());
-    if (!r1.implications.empty())
+    if (!r1.implications.empty()) {
         EXPECT_GT(r2.cycles, r1.cycles)
             << "misses with slow DMA must cost cycles";
+    }
 }
 
 TEST(Stress, MinimalHardwareShapeStillCorrect)

@@ -34,13 +34,11 @@
  *       shard count and per-iteration likelihoods.
  *
  *   query <file.rpc> [--budget X] [--rows N] [--seed N]
- *         [--missing-pct N] [--is-samples N]
+ *         [--missing-pct N]
  *       Evaluate sampled queries through the serving engine's
  *       tier-selection path: budget 0 runs the exact tier, a positive
  *       budget runs the approximate tier (pc::ApproxEvaluator) and
  *       prints each certified [lo, hi] bound next to the value.
- *       --is-samples additionally prints the importance-sampled
- *       log-evidence estimate (value +/- stderr) for each row.
  *
  *   serve <file.rpc> [--requests N] [--clients N] [--max-batch N]
  *         [--window-us N] [--serve-threads N] [--dispatchers N]
@@ -116,7 +114,6 @@
 #include "logic/nnf_io.h"
 #include "logic/preprocess.h"
 #include "logic/solver.h"
-#include "pc/approx.h"
 #include "pc/flat_cache.h"
 #include "pc/from_logic.h"
 #include "pc/io.h"
@@ -162,7 +159,7 @@ usage()
         "  fit <file.rpc> [--samples N] [--iters N] [--seed N]\n"
         "      [--out f.rpc]\n"
         "  query <file.rpc> [--budget X] [--rows N] [--seed N]\n"
-        "      [--missing-pct N] [--is-samples N]\n"
+        "      [--missing-pct N]\n"
         "  serve <file.rpc> [--requests N] [--clients N]\n"
         "      [--max-batch N] [--window-us N] [--serve-threads N]\n"
         "      [--dispatchers N] [--capacity N] [--policy reject|shed]\n"
@@ -731,7 +728,6 @@ cmdQuery(const std::vector<std::string> &args)
     uint64_t rows = 8;
     uint64_t seed = 1;
     uint64_t missing_pct = 0;
-    uint64_t is_samples = 0;
     const std::vector<CliOption> options = {
         realOpt("--budget", &budget,
                 "accuracy budget (0 = exact tier, >0 = approximate "
@@ -742,9 +738,6 @@ cmdQuery(const std::vector<std::string> &args)
                  "query sampling RNG seed"),
         countOpt("--missing-pct", 0, 100, &missing_pct,
                  "percent of variables marginalized out per query"),
-        countOpt("--is-samples", 0, 1u << 24, &is_samples,
-                 "importance samples for the log-evidence estimate "
-                 "(0 = off)"),
     };
     switch (parseSubcommand("query", "<file.rpc>", args, options)) {
       case ParseStatus::Help: return 0;
@@ -774,8 +767,6 @@ cmdQuery(const std::vector<std::string> &args)
     std::printf("tier: %s (budget %g)\n",
                 approx ? "approximate" : "exact", budget);
 
-    std::shared_ptr<const pc::FlatCircuit> flat =
-        pc::cachedLowering(circuit);
     for (size_t q = 0; q < queries.size(); ++q) {
         const auto r = session.wait(session.submit(queries[q], budget));
         if (r->error != sys::REASON_OK)
@@ -787,13 +778,6 @@ cmdQuery(const std::vector<std::string> &args)
                         r->boundHi[0]);
         else
             std::printf("row %3zu: log p = %.12f\n", q, r->outputs[0]);
-        if (is_samples > 0) {
-            const pc::LogEvidenceEstimate est = pc::estimateLogEvidence(
-                *flat, queries[q], size_t(is_samples), seed);
-            std::printf("         IS logZ = %.12f +/- %.3e "
-                        "(%zu samples)\n",
-                        est.logZ, est.stdError, est.samples);
-        }
     }
     return 0;
 }
