@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "util/logging.h"
 #include "util/numeric.h"
@@ -99,21 +98,28 @@ staticUpperBounds(const FlatCircuit &flat)
 
 namespace {
 
-/** The circuits one pruning pass emits (see ApproxEvaluator). */
-struct Pruned
+/** What one pruning pass emits (see ApproxEvaluator). */
+struct Emitted
 {
-    FlatCircuit lower;
-    /** Absent when nothing mass-bearing was dropped. */
-    std::optional<FlatCircuit> upper;
+    /** Rooted at the upper endpoint. */
+    FlatCircuit circuit;
+    uint32_t lowerRoot = kInvalidNode;
+    size_t keptNodes = 0;
+    size_t keptEdges = 0;
+    /** No mass-bearing edge was dropped: no sentinel, no copies. */
+    bool exact = true;
 };
+
+/** `reach` mark of a kept node whose upper value can differ. */
+constexpr uint8_t kDiffers = 2;
 
 /**
  * The pruning pass: keep decisions, rest bounds, root reachability,
- * and the emission of both circuits.  Its O(nodes) temporaries die on
- * return, before the caller allocates the long-lived evaluators, so
- * those do not pin the temporaries' memory in the allocator's arena.
+ * and the emission of the circuit.  Its O(nodes) temporaries die on
+ * return, before the caller allocates the long-lived evaluator, so
+ * that does not pin the temporaries' memory in the allocator's arena.
  */
-Pruned
+Emitted
 prune(const FlatCircuit &flat, double budget)
 {
     const size_t n = flat.numNodes();
@@ -127,7 +133,7 @@ prune(const FlatCircuit &flat, double budget)
     std::vector<uint8_t> keep(m, 1);
     std::vector<double> rest_ub(n, kLogZero);
     std::vector<double> rest_terms;
-    bool exact = true;
+    Emitted out;
     for (size_t i = 0; i < n; ++i) {
         if (flat.types[i] != FlatCircuit::kSum)
             continue;
@@ -178,7 +184,7 @@ prune(const FlatCircuit &flat, double budget)
                                      ub[flat.edgeTarget[e]]);
         rest_ub[i] = foldTerms(rest_terms.data(), rest_terms.size());
         if (rest_ub[i] != kLogZero)
-            exact = false;
+            out.exact = false;
     }
 
     // Root-reachable restriction over kept edges.
@@ -201,70 +207,92 @@ prune(const FlatCircuit &flat, double budget)
         }
     }
 
-    // Emit the kept sub-circuit in id order — children before
-    // parents, kept edges in CSR order, so the budget-0 circuit runs
-    // the canonical kernel over the exact same term sequence — with
-    // only the kept leaves, in re-densified slots.  The upper circuit
-    // is the same emission shifted by one id for its empty product,
-    // so both share one remap.
-    std::vector<uint32_t> remap(n, kInvalidNode);
-    uint32_t next = 0;
-    for (size_t i = 0; i < n; ++i)
-        if (reach[i])
-            remap[i] = next++;
-    const auto emit = [&](bool upper) {
-        const uint32_t shift = upper ? 1 : 0;
-        FlatCircuit c;
-        c.numVars = flat.numVars;
-        c.arity = flat.arity;
-        c.types.reserve(next + shift);
-        c.leafSlot.reserve(next + shift);
-        c.edgeOffset.reserve(next + shift + 1);
-        c.edgeOffset.push_back(0);
-        if (upper) {
-            // Id 0: the empty product, log value 0 on every row — the
-            // target of every rest edge.
-            c.types.push_back(FlatCircuit::kProduct);
-            c.leafSlot.push_back(kInvalidNode);
-            c.edgeOffset.push_back(0);
-        }
-        for (size_t i = 0; i < n; ++i) {
-            if (!reach[i])
+    // A node's upper value can differ from its lower value when it is
+    // a sum that dropped mass or sits above one.  Children precede
+    // parents, so one id-order pass marks them.
+    for (size_t i = 0; i < n; ++i) {
+        if (!reach[i])
+            continue;
+        bool differs = rest_ub[i] != kLogZero;
+        for (uint32_t e = flat.edgeOffset[i]; e < flat.edgeOffset[i + 1];
+             ++e) {
+            if (flat.types[i] == FlatCircuit::kSum && !keep[e])
                 continue;
-            c.types.push_back(flat.types[i]);
-            if (flat.types[i] != FlatCircuit::kLeaf) {
-                c.leafSlot.push_back(kInvalidNode);
-            } else {
-                const uint32_t s = flat.leafSlot[i];
-                c.leafSlot.push_back(uint32_t(c.leafVar.size()));
-                c.leafVar.push_back(flat.leafVar[s]);
-                const double *dist =
-                    flat.leafLogDist.data() + size_t(s) * flat.arity;
-                c.leafLogDist.insert(c.leafLogDist.end(), dist,
-                                     dist + flat.arity);
-            }
-            for (uint32_t e = flat.edgeOffset[i];
-                 e < flat.edgeOffset[i + 1]; ++e) {
-                if (flat.types[i] == FlatCircuit::kSum && !keep[e])
-                    continue;
-                c.edgeTarget.push_back(remap[flat.edgeTarget[e]] + shift);
-                c.edgeLogWeight.push_back(flat.edgeLogWeight[e]);
-            }
-            // The rest edge goes last, where the dropped mass folds
-            // in: its term is rest + 0.0 == rest.
-            if (upper && rest_ub[i] != kLogZero) {
-                c.edgeTarget.push_back(0);
-                c.edgeLogWeight.push_back(rest_ub[i]);
-            }
-            c.edgeOffset.push_back(uint32_t(c.edgeTarget.size()));
+            differs = differs || reach[flat.edgeTarget[e]] == kDiffers;
         }
-        c.root = remap[flat.root] + shift;
-        c.finalizeTopology();
-        return c;
+        if (differs)
+            reach[i] = kDiffers;
+    }
+
+    // Emit in id order — children before parents, kept edges in CSR
+    // order, so the budget-0 circuit runs the canonical kernel over the
+    // exact same term sequence — with only the kept leaves, in
+    // re-densified slots.  When mass was dropped, id 0 is the sentinel,
+    // and each differing node's upper copy follows it at id + 1: kept
+    // edges to the children's upper values, then the rest edge last.
+    const uint32_t first = out.exact ? 0 : 1;
+    std::vector<uint32_t> remap(n, kInvalidNode);
+    uint32_t next = first;
+    for (size_t i = 0; i < n; ++i)
+        if (reach[i]) {
+            remap[i] = next;
+            next += reach[i] == kDiffers ? 2 : 1;
+        }
+    FlatCircuit &c = out.circuit;
+    c.numVars = flat.numVars;
+    c.arity = flat.arity;
+    c.types.reserve(next);
+    c.leafSlot.reserve(next);
+    c.edgeOffset.reserve(next + 1);
+    c.edgeOffset.push_back(0);
+    if (!out.exact) {
+        // The empty product: log value 0, so a rest term is its bound.
+        c.types.push_back(FlatCircuit::kProduct);
+        c.leafSlot.push_back(kInvalidNode);
+        c.edgeOffset.push_back(0);
+    }
+    const auto emit = [&](size_t i, bool upper) {
+        c.types.push_back(flat.types[i]);
+        if (flat.types[i] != FlatCircuit::kLeaf) {
+            c.leafSlot.push_back(kInvalidNode);
+        } else {
+            const uint32_t s = flat.leafSlot[i];
+            c.leafSlot.push_back(uint32_t(c.leafVar.size()));
+            c.leafVar.push_back(flat.leafVar[s]);
+            const double *dist =
+                flat.leafLogDist.data() + size_t(s) * flat.arity;
+            c.leafLogDist.insert(c.leafLogDist.end(), dist,
+                                 dist + flat.arity);
+        }
+        for (uint32_t e = flat.edgeOffset[i]; e < flat.edgeOffset[i + 1];
+             ++e) {
+            if (flat.types[i] == FlatCircuit::kSum && !keep[e])
+                continue;
+            const uint32_t t = flat.edgeTarget[e];
+            c.edgeTarget.push_back(remap[t] +
+                                   (upper && reach[t] == kDiffers));
+            c.edgeLogWeight.push_back(flat.edgeLogWeight[e]);
+        }
+        if (upper && rest_ub[i] != kLogZero) {
+            c.edgeTarget.push_back(0);
+            c.edgeLogWeight.push_back(rest_ub[i]);
+        }
+        c.edgeOffset.push_back(uint32_t(c.edgeTarget.size()));
     };
-    Pruned out{emit(false), std::nullopt};
-    if (!exact)
-        out.upper = emit(true);
+    for (size_t i = 0; i < n; ++i) {
+        if (!reach[i])
+            continue;
+        const size_t edges = c.numEdges();
+        emit(i, false);
+        ++out.keptNodes;
+        out.keptEdges += c.numEdges() - edges;
+        if (reach[i] == kDiffers)
+            emit(i, true);
+    }
+    out.lowerRoot = remap[flat.root];
+    c.root = out.lowerRoot + (reach[flat.root] == kDiffers);
+    // Only CircuitEvaluator runs this circuit: no parent transpose.
+    c.finalizeUpwardTopology();
     return out;
 }
 
@@ -277,17 +305,20 @@ ApproxEvaluator::ApproxEvaluator(const FlatCircuit &flat,
 {
     reasonAssert(std::isfinite(options.budget) && options.budget >= 0.0,
                  "accuracy budget must be finite and non-negative");
-    Pruned pruned = prune(flat, options.budget);
-    lower_ = std::make_unique<Pass>(std::move(pruned.lower), pool);
-    if (pruned.upper)
-        upper_ = std::make_unique<Pass>(std::move(*pruned.upper), pool);
+    Emitted emitted = prune(flat, options.budget);
+    lowerRoot_ = emitted.lowerRoot;
+    upperRoot_ = emitted.circuit.root;
+    keptNodes_ = emitted.keptNodes;
+    keptEdges_ = emitted.keptEdges;
+    exact_ = emitted.exact;
+    pruned_ = std::make_unique<Pruned>(std::move(emitted.circuit), pool);
 }
 
 ApproxResult
 ApproxEvaluator::result(double lo, double hi) const
 {
     // No slack when nothing was dropped: the exact tier's bits.
-    if (isExact())
+    if (exact_)
         return {lo, lo, lo};
     return {lo, padLo(lo), padHi(hi)};
 }
@@ -295,22 +326,38 @@ ApproxEvaluator::result(double lo, double hi) const
 ApproxResult
 ApproxEvaluator::query(const Assignment &x)
 {
-    const double lo = lower_->eval.logLikelihood(x);
-    return result(lo, upper_ ? upper_->eval.logLikelihood(x) : lo);
+    const std::span<const double> v = pruned_->eval.evaluate(x);
+    return result(v[lowerRoot_], v[upperRoot_]);
 }
 
 void
 ApproxEvaluator::queryBatch(const std::vector<Assignment> &xs,
                             std::vector<ApproxResult> &out)
 {
-    batchLo_.resize(xs.size());
-    lower_->eval.logLikelihoodBatch(xs, batchLo_);
-    if (upper_) {
-        batchHi_.resize(xs.size());
-        upper_->eval.logLikelihoodBatch(xs, batchHi_);
-    }
-    const std::vector<double> &hi = upper_ ? batchHi_ : batchLo_;
     out.resize(xs.size());
+    // A batch smaller than one SIMD block would pay for a whole padded
+    // block per root; the per-row walk costs less, reads both roots in
+    // one pass and, by CircuitEvaluator's contract, yields the same
+    // bits.
+    if (xs.size() < CircuitEvaluator::kBlock) {
+        for (size_t i = 0; i < xs.size(); ++i)
+            out[i] = query(xs[i]);
+        return;
+    }
+    // The block kernel reports the circuit's root only: one pass per
+    // endpoint, pointing the root at the lower one for the first.
+    FlatCircuit &circuit = pruned_->flat;
+    CircuitEvaluator &eval = pruned_->eval;
+    batchLo_.resize(xs.size());
+    circuit.root = lowerRoot_;
+    eval.logLikelihoodBatch(xs, batchLo_);
+    circuit.root = upperRoot_;
+    if (upperRoot_ != lowerRoot_) {
+        batchHi_.resize(xs.size());
+        eval.logLikelihoodBatch(xs, batchHi_);
+    }
+    const std::vector<double> &hi =
+        upperRoot_ != lowerRoot_ ? batchHi_ : batchLo_;
     for (size_t i = 0; i < xs.size(); ++i)
         out[i] = result(batchLo_[i], hi[i]);
 }

@@ -3,7 +3,7 @@
  * Query-time budgeted approximate inference over the flat CSR
  * substrate: the anytime tier of the serving stack (REASON Sec. V-B
  * applied to the PC workload; cf. A-NeSI-style budgeted approximate
- * inference).  Pruning produces smaller circuits that the one exact
+ * inference).  Pruning produces a smaller circuit that the one exact
  * engine (CircuitEvaluator) runs — there is no second evaluator.
  *
  * Two pieces:
@@ -20,35 +20,44 @@
  *    the accuracy budget of the node's best edge (always keeping the
  *    best), drops the rest, restricts to the root-reachable
  *    sub-circuit, and pre-folds the dropped edges of each sum into a
- *    single static *rest* bound.  It emits two FlatCircuits:
+ *    single static *rest* bound.  It emits one FlatCircuit holding
+ *    both endpoints:
  *
- *      - `lower`, the kept sub-circuit: its exact log value is the
- *        point value and the lower endpoint;
- *      - `upper` (only when something mass-bearing was dropped), the
- *        same circuit plus one empty product (log value 0) at id 0,
- *        with each sum that dropped mass given one extra *last* edge
- *        to it whose log-weight is the sum's rest bound.
+ *      - the kept sub-circuit, whose root is the lower root: its
+ *        exact log value is the point value and the lower endpoint;
+ *      - only when something mass-bearing was dropped, a sentinel
+ *        empty product (log value 0) at id 0, and an *upper copy* of
+ *        every kept node whose value can differ — a sum that dropped
+ *        mass, or a node above one.  A copy takes its children's upper
+ *        values and, on a sum that dropped mass, one extra *last* edge
+ *        to the sentinel whose log-weight is the rest bound.  The copy
+ *        of the root is the upper root and the circuit's root.
  *
- *    Queries run both through CircuitEvaluator — single rows and
- *    8-row SIMD blocks alike — and pad the endpoints by a tiny
- *    relative slack.  The reported interval **always contains the
- *    exact answer** — the differential harness (tests/test_approx.cc)
- *    enforces zero violations over the random-circuit corpus.  With
- *    budget 0 only exact additive identities are dropped, no upper
- *    circuit exists, and the value is **bit-identical** to
- *    CircuitEvaluator — the exact tier expressed as the degenerate
- *    beam.
+ *    CircuitEvaluator runs it: a single row (and every row of a batch
+ *    below one SIMD block) in one per-row pass that yields both
+ *    roots, larger batches in one 8-row block pass per root.  The
+ *    endpoints are padded by a tiny relative slack.  The reported
+ *    interval **always contains the exact answer** — the
+ *    differential harness (tests/test_approx.cc) enforces zero
+ *    violations over the random-circuit corpus.  With budget 0 only
+ *    exact additive identities are dropped, no sentinel or copy
+ *    exists, and the value is **bit-identical** to CircuitEvaluator —
+ *    the exact tier expressed as the degenerate beam.
  *
  * **Determinism contract.**  Construction and queries are pure
  * functions of (FlatCircuit, options) and the assignment: no global
- * RNG, and the emitted circuits inherit CircuitEvaluator's
+ * RNG, and the emitted circuit inherits CircuitEvaluator's
  * bit-identity across batch shapes, thread counts, and SIMD backends,
  * so results are bit-identical however rows are batched or served.
  *
  * **Thread-safety.**  One ApproxEvaluator serves one caller at a
- * time (evaluator scratch); the referenced FlatCircuit must outlive
- * it.  One evaluator per thread over a shared FlatCircuit is the
- * concurrent pattern.
+ * time (evaluator scratch, and the batch path re-points its private
+ * circuit's root); the referenced FlatCircuit must outlive it.
+ * Concurrent callers each take their own evaluator over the shared
+ * FlatCircuit, and each evaluator its own pool (or a 1-worker pool),
+ * as the engine's dispatchers do: the default pool is the shared
+ * global one, and a pool runs one parallelFor at a time
+ * (util/parallel.h).
  */
 
 #ifndef REASON_PC_APPROX_H
@@ -105,7 +114,7 @@ class ApproxEvaluator
   public:
     /**
      * @param flat  circuit to prune; must outlive the evaluator.
-     * @param pool  worker pool of the emitted circuits' evaluators;
+     * @param pool  worker pool of the emitted circuit's evaluator;
      *              nullptr selects util::globalThreadPool().
      */
     ApproxEvaluator(const FlatCircuit &flat,
@@ -116,18 +125,19 @@ class ApproxEvaluator
     ApproxResult query(const Assignment &x);
 
     /**
-     * Batched interval queries: one result per row, through
-     * CircuitEvaluator::logLikelihoodBatch on each emitted circuit, so
-     * every row is bit-identical to a standalone query() — the
-     * coalescing contract of the serving engine.
+     * Batched interval queries: one result per row.  Batches of at
+     * least CircuitEvaluator::kBlock rows run its SIMD block kernel,
+     * smaller ones the per-row walk; either way every row is
+     * bit-identical to a standalone query() — the coalescing contract
+     * of the serving engine.
      */
     void queryBatch(const std::vector<Assignment> &xs,
                     std::vector<ApproxResult> &out);
 
     /** Nodes kept after pruning + reachability restriction. */
-    size_t keptNodes() const { return lower_->flat.numNodes(); }
+    size_t keptNodes() const { return keptNodes_; }
     /** Edges kept across all kept nodes. */
-    size_t keptEdges() const { return lower_->flat.numEdges(); }
+    size_t keptEdges() const { return keptEdges_; }
     /** Nodes / edges of the underlying FlatCircuit. */
     size_t totalNodes() const { return flat_.numNodes(); }
     size_t totalEdges() const { return flat_.numEdges(); }
@@ -136,16 +146,17 @@ class ApproxEvaluator
      * then report lo == value == hi with zero slack, bit-identical
      * to the exact tier (always the case at budget 0).
      */
-    bool isExact() const { return upper_ == nullptr; }
+    bool isExact() const { return exact_; }
 
     const FlatCircuit &flat() const { return flat_; }
 
   private:
-    /** An emitted circuit and its evaluator, at a stable address (the
-     *  evaluator references the circuit). */
-    struct Pass
+    /** The emitted circuit and its evaluator, at a stable address
+     *  (the evaluator references the circuit).  The circuit is
+     *  private, so the batch path may re-point its root. */
+    struct Pruned
     {
-        Pass(FlatCircuit circuit, util::ThreadPool *pool)
+        Pruned(FlatCircuit circuit, util::ThreadPool *pool)
             : flat(std::move(circuit)), eval(flat, pool)
         {
         }
@@ -157,11 +168,14 @@ class ApproxEvaluator
     ApproxResult result(double lo, double hi) const;
 
     const FlatCircuit &flat_;
-    /** The kept sub-circuit: value and lower endpoint. */
-    std::unique_ptr<Pass> lower_;
-    /** Kept sub-circuit plus the rest edges: upper endpoint; null
-     *  when isExact(). */
-    std::unique_ptr<Pass> upper_;
+    std::unique_ptr<Pruned> pruned_;
+    /** Ids of the two endpoints in the emitted circuit; equal when
+     *  nothing differs. */
+    uint32_t lowerRoot_ = kInvalidNode;
+    uint32_t upperRoot_ = kInvalidNode;
+    size_t keptNodes_ = 0;
+    size_t keptEdges_ = 0;
+    bool exact_ = true;
     /** Per-row batch scratch of the two endpoints. */
     std::vector<double> batchLo_;
     std::vector<double> batchHi_;

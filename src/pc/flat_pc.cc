@@ -66,7 +66,7 @@ FlatCircuit::FlatCircuit(const Circuit &circuit)
 }
 
 void
-FlatCircuit::finalizeTopology()
+FlatCircuit::finalizeUpwardTopology()
 {
     reasonAssert(root != kInvalidNode, "circuit has no root");
     const size_t n = types.size();
@@ -79,6 +79,17 @@ FlatCircuit::finalizeTopology()
         core::buildLevelSchedule(n, edgeOffset, edgeTarget);
     levelOffset = std::move(sched.offset);
     levelNodes = std::move(sched.nodes);
+
+    maxFanIn = 0;
+    for (size_t i = 0; i < n; ++i)
+        maxFanIn = std::max(maxFanIn, edgeOffset[i + 1] - edgeOffset[i]);
+}
+
+void
+FlatCircuit::finalizeTopology()
+{
+    finalizeUpwardTopology();
+    const size_t n = types.size();
 
     // Parent transpose in descending parent order: the downward
     // gathers fold each node's incoming contributions in this fixed
@@ -109,13 +120,10 @@ FlatCircuit::finalizeTopology()
         parentLogWeight[k] = edgeLogWeight[parentEdge[k]];
     }
 
-    maxFanIn = 0;
     maxParentFanIn = 0;
-    for (size_t i = 0; i < n; ++i) {
-        maxFanIn = std::max(maxFanIn, edgeOffset[i + 1] - edgeOffset[i]);
+    for (size_t i = 0; i < n; ++i)
         maxParentFanIn = std::max(maxParentFanIn,
                                   parentOffset[i + 1] - parentOffset[i]);
-    }
 }
 
 namespace {
@@ -428,6 +436,8 @@ logDerivativesInto(const FlatCircuit &flat, std::span<const double> logv,
 {
     const size_t n = flat.numNodes();
     reasonAssert(logv.size() == n, "log-value/graph size mismatch");
+    reasonAssert(flat.parentOffset.size() == n + 1,
+                 "derivative pass needs the parent transpose");
     logd.assign(n, kLogZero);
 
     const uint8_t *types = flat.types.data();
@@ -530,6 +540,8 @@ FlowAccumulator::FlowAccumulator(const FlatCircuit &flat,
       edgeTotal_(flat.numEdges(), 0.0), nodeTotal_(flat.numNodes(), 0.0),
       leafTotal_(flat.numLeaves() * flat.arity, 0.0)
 {
+    reasonAssert(flat.parentOffset.size() == flat.numNodes() + 1,
+                 "flow pass needs the parent transpose");
 }
 
 void

@@ -72,6 +72,14 @@ class FlatCircuit
      */
     void finalizeTopology();
 
+    /**
+     * The upward half of finalizeTopology(): the level schedule and
+     * maxFanIn, but no parent transpose (20 bytes per edge and 4 per
+     * node).  Enough for CircuitEvaluator; the downward passes
+     * (FlowAccumulator, logDerivativesInto) reject such a circuit.
+     */
+    void finalizeUpwardTopology();
+
     size_t numNodes() const { return types.size(); }
     size_t numEdges() const { return edgeTarget.size(); }
     size_t numLeaves() const { return leafVar.size(); }

@@ -472,10 +472,10 @@ ReasonEngine::executeApproxGroup(
     // one queryBatch against the evaluator built for exactly that
     // budget — the gather → one pass → scatter shape of
     // executeCircuitGroup.  Every row runs through CircuitEvaluator's
-    // canonical block kernel with independent lanes, so outputs and
-    // bounds are bit-identical no matter how the group was coalesced
-    // or which requests shared a pass — the same contract as the exact
-    // tier.
+    // canonical kernel, per row or in independent block lanes, so
+    // outputs and bounds are bit-identical no matter how the group was
+    // coalesced or which requests shared a pass — the same contract as
+    // the exact tier.
     const pc::FlatCircuit &flat = *static_cast<const pc::FlatCircuit *>(
         group.front()->groupKey);
     std::vector<Request *> &order = disp.approxOrder;

@@ -16,7 +16,7 @@
  *  - determinism: rebuilding the evaluator and re-running the query
  *    reproduces every result bit;
  *  - batching: queryBatch is bit-identical to query() for every batch
- *    shape (tail, full, split blocks) and worker count.
+ *    shape (per-row, tail, full, split blocks) and worker count.
  */
 
 #include <gtest/gtest.h>
@@ -207,8 +207,9 @@ TEST(ApproxDifferential, RebuildAndRequeryAreDeterministic)
 
 TEST(ApproxDifferential, QueryBatchMatchesSingleQueries)
 {
-    // A lone tail block (1, 7), one full block (8), full blocks plus a
-    // tail (9, 17), and enough blocks to split across workers (64).
+    // Below one block, the per-row walk (1, 7); one full block (8),
+    // full blocks plus a tail (9, 17), and enough blocks to split
+    // across workers (64).
     constexpr size_t kBatchSizes[] = {1, 7, 8, 9, 17, 64};
     const auto same = [](const pc::ApproxResult &a,
                          const pc::ApproxResult &b) {

@@ -315,6 +315,48 @@ TEST(FlatCircuit, FlowAccumulatorMatchesPerSampleReference)
     }
 }
 
+TEST(FlatCircuit, UpwardOnlyFinalizationEvaluatesTheSame)
+{
+    Rng rng(43);
+    pc::Circuit c = pc::randomCircuit(rng, 8, 2, 2, 4);
+    auto data = pc::sampleDataset(rng, c, 19);
+    const pc::FlatCircuit full(c);
+
+    pc::FlatCircuit up;
+    up.types = full.types;
+    up.edgeOffset = full.edgeOffset;
+    up.edgeTarget = full.edgeTarget;
+    up.edgeLogWeight = full.edgeLogWeight;
+    up.leafSlot = full.leafSlot;
+    up.leafVar = full.leafVar;
+    up.leafLogDist = full.leafLogDist;
+    up.numVars = full.numVars;
+    up.arity = full.arity;
+    up.root = full.root;
+    up.finalizeUpwardTopology();
+    EXPECT_EQ(up.levelOffset, full.levelOffset);
+    EXPECT_EQ(up.levelNodes, full.levelNodes);
+    EXPECT_EQ(up.maxFanIn, full.maxFanIn);
+    EXPECT_TRUE(up.parentOffset.empty());
+    EXPECT_TRUE(up.parentEdge.empty());
+
+    pc::CircuitEvaluator want(full);
+    pc::CircuitEvaluator got(up);
+    std::vector<double> want_batch(data.size()), got_batch(data.size());
+    want.logLikelihoodBatch(data, want_batch);
+    got.logLikelihoodBatch(data, got_batch);
+    for (size_t i = 0; i < data.size(); ++i) {
+        EXPECT_EQ(got.logLikelihood(data[i]), want.logLikelihood(data[i]));
+        EXPECT_EQ(got_batch[i], want_batch[i]);
+    }
+
+    // The downward passes need the transpose and say so.
+    EXPECT_DEATH(pc::FlowAccumulator acc(up), "parent transpose");
+    std::vector<double> logd;
+    EXPECT_DEATH(pc::logDerivativesInto(up, got.evaluate(data[0]), logd),
+                 "parent transpose");
+}
+
 TEST(Numeric, CheckedIntPowGuardsOverflow)
 {
     uint64_t out = 0;
