@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "pc/flat_cache.h"
 #include "pc/pc.h"
@@ -57,6 +58,8 @@ Session::finishRejected(std::shared_ptr<Request> request, int error) const
 {
     request->error = error;
     request->state = RequestState::Done;
+    if (request->onDone)
+        std::exchange(request->onDone, nullptr)(*request);
     return RequestHandle(std::move(request));
 }
 
@@ -100,10 +103,12 @@ Session::submitBatch(std::vector<pc::Assignment> rows,
 
 RequestHandle
 Session::submitBatch(std::vector<pc::Assignment> rows,
-                     double accuracyBudget, uint64_t deadlineNs)
+                     double accuracyBudget, uint64_t deadlineNs,
+                     CompletionCallback onDone)
 {
     auto request = std::make_shared<Request>();
     request->session = state_;
+    request->onDone = std::move(onDone);
     if (engine_ == nullptr || state_ == nullptr || state_->isProgram())
         return finishRejected(std::move(request),
                               REASON_ERR_WRONG_SESSION);

@@ -32,7 +32,12 @@
  * submits (submission state is immutable; ids are atomic).  The engine
  * must outlive its sessions' *submissions* (wait/poll route through
  * the engine queue), but RequestHandle result accessors stay readable
- * after engine destruction because requests are shared-owned.
+ * after engine destruction because requests are shared-owned.  A
+ * completion callback (submitBatch's `onDone`) runs on the thread that
+ * completed its request, never under the queue mutex, so it may submit
+ * or read stats.  What a callback captures must outlive it: engine
+ * destruction still completes, and so calls back, every queued
+ * request.
  */
 
 #ifndef REASON_SYS_ENGINE_H
@@ -299,12 +304,18 @@ class Session
      * queued completes with REASON_ERR_DEADLINE_EXCEEDED; once a
      * dispatcher picks it up it always completes normally, so answered
      * results stay bit-identical to deadline-less runs.
+     *
+     * `onDone`, when set, is the request's completion callback: it runs
+     * exactly once, after the request is Done, on every terminal path
+     * (see CompletionCallback) — on this thread, before submitBatch
+     * returns, when the request is rejected at submission.  wait/poll
+     * keep working alongside it.
      */
     RequestHandle submit(pc::Assignment row, double accuracyBudget,
                          uint64_t deadlineNs);
     RequestHandle submitBatch(std::vector<pc::Assignment> rows,
-                              double accuracyBudget,
-                              uint64_t deadlineNs);
+                              double accuracyBudget, uint64_t deadlineNs,
+                              CompletionCallback onDone = {});
 
     /**
      * Program sessions: submit a Listing-1 batch (row-major inputs,

@@ -101,6 +101,39 @@ netSendAll(int fd, const void *data, size_t n)
 }
 
 long
+netSend(int fd, const void *data, size_t n)
+{
+    size_t want = n;
+    bool torn = false;
+    if (FaultPlan *plan = activeFaultPlan()) {
+        const FaultAction act = plan->onSend(n);
+        applyDelay(act);
+        if (act.reset) {
+            injectReset(fd);
+            errno = ECONNRESET;
+            return -1;
+        }
+        if (act.maxBytes != 0 && act.maxBytes < n) {
+            want = act.maxBytes;
+            torn = act.resetAfter;
+        }
+    }
+    for (;;) {
+        const ssize_t rc = ::send(fd, data, want, kSendFlags);
+        if (rc < 0 && errno == EINTR)
+            continue;
+        if (torn) {
+            injectReset(fd);
+            errno = ECONNRESET;
+            return -1;
+        }
+        if (rc < 0)
+            return errno == EAGAIN || errno == EWOULDBLOCK ? 0 : -1;
+        return long(rc);
+    }
+}
+
+long
 netRecv(int fd, void *data, size_t n)
 {
     size_t want = n;

@@ -54,6 +54,16 @@ void netPrepareSocket(int fd);
 bool netSendAll(int fd, const void *data, size_t n);
 
 /**
+ * One send of up to `n` bytes on a non-blocking socket (retrying EINTR,
+ * SIGPIPE suppressed).  Returns the byte count written — 0 when the
+ * socket buffer is full, so the caller waits for POLLOUT — or -1 on a
+ * transport error or an injected reset.  The fault hooks match
+ * netSendAll's: a delay sleeps first, a partial write shortens the
+ * transfer, and a torn write sends a prefix and then resets.
+ */
+long netSend(int fd, const void *data, size_t n);
+
+/**
  * Receive up to `n` bytes (retrying EINTR).  Returns the byte count
  * (>0), 0 on orderly EOF, or -1 on a transport error / injected
  * reset.  May return fewer bytes than asked for any reason — callers
@@ -68,8 +78,9 @@ long netRecv(int fd, void *data, size_t n);
  */
 bool netSetRecvTimeoutMs(int fd, unsigned ms);
 
-/** True when errno after a -1 receive is just the SO_RCVTIMEO expiry
- *  (EAGAIN/EWOULDBLOCK) rather than a real transport failure. */
+/** True when errno after a -1 receive is just EAGAIN/EWOULDBLOCK — the
+ *  SO_RCVTIMEO expiry, or nothing to read on a non-blocking socket —
+ *  rather than a real transport failure. */
 bool netRecvTimedOut();
 
 } // namespace sys

@@ -76,7 +76,32 @@ RequestQueue::failLocked(const std::shared_ptr<Request> &request,
         ++stats_.expired;
     else if (error == REASON_ERR_CANCELLED)
         ++stats_.cancelled;
+    noteDoneLocked(request);
     doneCv_.notify_all();
+}
+
+void
+RequestQueue::noteDoneLocked(const std::shared_ptr<Request> &request)
+{
+    if (request->onDone)
+        pendingCallbacks_.push_back(request);
+}
+
+void
+RequestQueue::notifyUnlocked(std::unique_lock<std::mutex> &lock,
+                             bool relock)
+{
+    std::vector<std::shared_ptr<Request>> done;
+    done.swap(pendingCallbacks_);
+    lock.unlock();
+    for (const std::shared_ptr<Request> &r : done) {
+        // Taken out of the request first: the callback runs once and
+        // its captures die with it.
+        CompletionCallback fn = std::exchange(r->onDone, nullptr);
+        fn(*r);
+    }
+    if (relock)
+        lock.lock();
 }
 
 void
@@ -239,8 +264,7 @@ RequestQueue::failAllQueuedLocked(int error, uint64_t now)
 {
     // Fail queued work but keep the shard entries themselves: a
     // dispatcher lingering inside popGroup holds a reference into the
-    // map across its timed wait, so entries must stay stable here
-    // (the same discipline as shutdown()).
+    // map across its timed wait, so entries must stay stable here.
     for (auto &entry : shards_) {
         Shard &shard = entry.second;
         for (Lane &lane : shard.lanes)
@@ -260,7 +284,14 @@ void
 RequestQueue::push(const std::shared_ptr<Request> &request)
 {
     reasonAssert(request != nullptr, "null request");
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    pushLocked(request);
+    notifyUnlocked(lock);
+}
+
+void
+RequestQueue::pushLocked(const std::shared_ptr<Request> &request)
+{
     const uint64_t now = nowNs();
     request->enqueuedNs = now;
     request->ownerQueue = this;
@@ -410,6 +441,12 @@ RequestQueue::popGroup(size_t maxRows, unsigned lingerUs)
         // at the earliest one and sweeps, so expiry happens even when
         // no new work arrives (and even while paused).
         while (!(shutdown_ || (!paused_ && !ready_.empty()))) {
+            if (!pendingCallbacks_.empty()) {
+                // Never sleep on callbacks this pop's sweeps or
+                // gathers owe; run them, then re-check.
+                notifyUnlocked(lock, /*relock=*/true);
+                continue;
+            }
             if (minDeadlineNs_ != 0) {
                 workCv_.wait_until(lock,
                                    steadyTimePoint(minDeadlineNs_));
@@ -420,8 +457,10 @@ RequestQueue::popGroup(size_t maxRows, unsigned lingerUs)
                 workCv_.wait(lock);
             }
         }
-        if (ready_.empty())
+        if (ready_.empty()) {
+            notifyUnlocked(lock);
             return {}; // shutdown: dispatcher exit signal
+        }
 
         const ShardKey key = ready_.front();
         ready_.pop_front();
@@ -488,6 +527,7 @@ RequestQueue::popGroup(size_t maxRows, unsigned lingerUs)
         running_ += group.size();
         stats_.batches += 1;
         stats_.batchedRows += rowCount;
+        notifyUnlocked(lock); // requests the gathers expired
         return group;
     }
 }
@@ -512,13 +552,14 @@ RequestQueue::recordLatencyLocked(double latencyMs)
 void
 RequestQueue::complete(const std::vector<std::shared_ptr<Request>> &group)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     const uint64_t done = nowNs();
     reasonAssert(running_ >= group.size(),
                  "completing more than is running");
     running_ -= group.size();
     for (const auto &r : group) {
         r->state = RequestState::Done;
+        noteDoneLocked(r);
         r->completedNs = done;
         stats_.totalQueueNs += r->startedNs - r->enqueuedNs;
         stats_.totalLatencyNs += done - r->enqueuedNs;
@@ -543,6 +584,7 @@ RequestQueue::complete(const std::vector<std::shared_ptr<Request>> &group)
         }
     }
     doneCv_.notify_all();
+    notifyUnlocked(lock);
 }
 
 bool
@@ -564,20 +606,23 @@ bool
 RequestQueue::cancel(const std::shared_ptr<Request> &request)
 {
     reasonAssert(request != nullptr, "null request");
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     if (request->state != RequestState::Queued)
         return false; // already dispatched (or done) — let it finish
     if (!removeQueuedLocked(request))
         return false;
     failLocked(request, REASON_ERR_CANCELLED, nowNs());
+    notifyUnlocked(lock);
     return true;
 }
 
 size_t
 RequestQueue::sweepExpired()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return sweepExpiredLocked(nowNs());
+    std::unique_lock<std::mutex> lock(mutex_);
+    const size_t expired = sweepExpiredLocked(nowNs());
+    notifyUnlocked(lock);
+    return expired;
 }
 
 void
@@ -601,8 +646,10 @@ RequestQueue::drainWait(uint64_t deadlineNs)
         doneCv_.wait_until(lock, steadyTimePoint(deadlineNs));
     }
     const bool clean = totalPending_ == 0;
-    if (!clean)
+    if (!clean) {
         failAllQueuedLocked(REASON_ERR_DEADLINE_EXCEEDED, nowNs());
+        notifyUnlocked(lock, /*relock=*/true);
+    }
     // In-flight groups always complete normally — wait them out
     // unbounded (dispatcher execution is finite by construction).
     doneCv_.wait(lock, [&] { return running_ == 0; });
@@ -612,34 +659,14 @@ RequestQueue::drainWait(uint64_t deadlineNs)
 void
 RequestQueue::shutdown()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     shutdown_ = true;
-    const uint64_t done = nowNs();
-    // Fail queued work but keep the shard entries themselves: a
-    // dispatcher lingering inside popGroup holds a reference into the
-    // map across its timed wait, so entries must stay stable here.
-    for (auto &entry : shards_) {
-        Shard &shard = entry.second;
-        for (Lane &lane : shard.lanes)
-            for (const auto &r : lane.queue) {
-                // Failed, never executed: count completion only, so
-                // the latency means keep their executed-requests
-                // denominator (see QueueStats::executed).
-                r->error = REASON_ERR_SHUTDOWN;
-                r->state = RequestState::Done;
-                r->completedNs = done;
-                ++stats_.completed;
-            }
-        shard.lanes.clear();
-        shard.pendingRequests = 0;
-        shard.inReady = false;
-    }
-    ready_.clear();
-    age_.clear();
-    totalPending_ = 0;
-    minDeadlineNs_ = 0;
+    // Failed, never executed: completion is counted, execution is not,
+    // so the latency means keep their executed-requests denominator.
+    failAllQueuedLocked(REASON_ERR_SHUTDOWN, nowNs());
     workCv_.notify_all();
     doneCv_.notify_all();
+    notifyUnlocked(lock);
 }
 
 void

@@ -35,7 +35,9 @@
  *
  * Every state transition happens under one mutex so poll/wait observe
  * a consistent lifecycle, and shedding/fairness decisions are atomic
- * with respect to submission.
+ * with respect to submission.  Completion callbacks (Request::onDone)
+ * are collected under that mutex and run after it is released, so a
+ * callback may call back into the queue or the engine.
  */
 
 #ifndef REASON_SYS_REQUEST_QUEUE_H
@@ -45,6 +47,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -169,6 +172,18 @@ enum class RequestState : uint8_t
 
 struct SessionState;
 class RequestQueue;
+struct Request;
+
+/**
+ * Completion callback of one request.  It runs exactly once, after the
+ * request is Done (outputs or error final, readable without further
+ * synchronization), on whichever thread completed it: a dispatcher, a
+ * thread whose push shed or expired it, a canceller, the drainer, the
+ * engine's destructor — or the submitting thread itself when the
+ * request is rejected at submission.  It never runs under the queue
+ * mutex, so it may call back into the engine.
+ */
+using CompletionCallback = std::function<void(const Request &)>;
 
 /**
  * Steady-clock nanoseconds since the clock epoch — the timebase of
@@ -267,6 +282,9 @@ struct Request
      * alive, the same lifetime contract as wait/poll.
      */
     RequestQueue *ownerQueue = nullptr;
+
+    /** Optional completion callback (see CompletionCallback). */
+    CompletionCallback onDone;
 
     /** Rows requested (either payload kind). */
     size_t numRows() const
@@ -471,6 +489,7 @@ class RequestQueue
     };
     using ShardMap = std::unordered_map<ShardKey, Shard, ShardKeyHash>;
 
+    void pushLocked(const std::shared_ptr<Request> &request);
     void readyShardLocked(const ShardKey &key, Shard &shard);
     void eraseShardIfIdleLocked(ShardMap::iterator it);
     /** Gather up to maxRows into group, round-robin over lanes. */
@@ -482,11 +501,21 @@ class RequestQueue
     /** Complete a request that never ran (overload/shutdown/expiry). */
     void failLocked(const std::shared_ptr<Request> &request, int error,
                     uint64_t now);
+    /** Queue a Done request's callback for the next notifyUnlocked. */
+    void noteDoneLocked(const std::shared_ptr<Request> &request);
+    /**
+     * Release `lock`, run every pending completion callback, and
+     * re-acquire it only when `relock` is set.  Every operation that
+     * completes requests ends here, so no callback runs under mutex_.
+     */
+    void notifyUnlocked(std::unique_lock<std::mutex> &lock,
+                        bool relock = false);
     /** Remove `request` from its lane; false if not found queued. */
     bool removeQueuedLocked(const std::shared_ptr<Request> &request);
     /** Expire queued requests past `now`; recompute minDeadlineNs_. */
     size_t sweepExpiredLocked(uint64_t now);
-    /** Fail every queued request with `error` (drain expiry). */
+    /** Fail every queued request with `error` (drain expiry,
+     *  shutdown). */
     void failAllQueuedLocked(int error, uint64_t now);
     /** Track the earliest pending deadline for deadline-aware waits. */
     void noteDeadlineLocked(uint64_t deadlineNs);
@@ -525,6 +554,8 @@ class RequestQueue
     bool paused_ = false;
     /** Admission closed by beginDrain(). */
     bool draining_ = false;
+    /** Done requests whose callbacks have not run yet. */
+    std::vector<std::shared_ptr<Request>> pendingCallbacks_;
 
     QueueStats stats_;
 

@@ -13,13 +13,19 @@
  *  - the Listing-1 compat shim: equality with the pre-redesign
  *    ReasonRuntime behavior and the documented distinct error codes;
  *  - queue behavior: pause/resume occupancy, shutdown failure of
- *    still-queued requests, cross-circuit group separation.
+ *    still-queued requests, cross-circuit group separation;
+ *  - completion callbacks: exactly once on every terminal path, on a
+ *    readable request, never under the queue mutex.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -622,4 +628,201 @@ TEST(EngineWindow, LingerCoalescesLateArrivalsDeterministically)
         EXPECT_TRUE(bitEqual(session.wait(handles[i])->outputs[0],
                              reference[i]))
             << i;
+}
+
+// ---------------------------------------------------------------------------
+// Completion callbacks.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Records completion callbacks by a test-chosen tag.  Every callback
+ * checks that its request is readable on arrival and runs `probe`,
+ * which takes a stats snapshot: that locks the queue mutex, so a
+ * callback run under it would deadlock.
+ */
+struct CallbackLog
+{
+    struct Entry
+    {
+        int calls = 0;
+        int error = REASON_OK;
+        size_t outputs = 0;
+    };
+
+    std::function<void()> probe;
+    std::mutex mutex;
+    std::map<int, Entry> entries;
+
+    CompletionCallback
+    at(int tag)
+    {
+        return [this, tag](const Request &r) {
+            EXPECT_EQ(r.state, RequestState::Done) << "tag " << tag;
+            probe();
+            std::lock_guard<std::mutex> lock(mutex);
+            Entry &e = entries[tag];
+            ++e.calls;
+            e.error = r.error;
+            e.outputs = r.outputs.size();
+        };
+    }
+
+    Entry
+    get(int tag)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        return entries[tag];
+    }
+
+    /** Tag `tag` fired exactly once, with `error` and `outputs`. */
+    void
+    expectOnce(int tag, int error, size_t outputs = 0)
+    {
+        const Entry e = get(tag);
+        EXPECT_EQ(e.calls, 1) << "tag " << tag;
+        EXPECT_EQ(e.error, error) << "tag " << tag;
+        EXPECT_EQ(e.outputs, outputs) << "tag " << tag;
+    }
+};
+
+std::shared_ptr<Request>
+queuedRequest(CallbackLog &log, int tag, uint64_t deadlineNs = 0)
+{
+    auto r = std::make_shared<Request>();
+    r->rows = {pc::Assignment{0}};
+    r->deadlineNs = deadlineNs;
+    r->onDone = log.at(tag);
+    return r;
+}
+
+} // namespace
+
+TEST(EngineCallbacks, QueueFiresOnceOnEveryTerminalPath)
+{
+    CallbackLog log;
+    const auto fresh = [&](QueueOptions options = {}) {
+        auto q = std::make_unique<RequestQueue>(options);
+        log.probe = [q = q.get()] { (void)q->stats(); };
+        return q;
+    };
+
+    {   // Dispatched and completed.
+        auto q = fresh();
+        q->push(queuedRequest(log, 1));
+        auto group = q->popGroup(8, 0);
+        ASSERT_EQ(group.size(), 1u);
+        EXPECT_EQ(log.get(1).calls, 0);
+        group[0]->outputs = {-1.5};
+        q->complete(group);
+        log.expectOnce(1, REASON_OK, 1);
+    }
+    {   // Pushed after shutdown, and still queued at shutdown.
+        auto q = fresh();
+        q->push(queuedRequest(log, 2));
+        q->shutdown();
+        log.expectOnce(2, REASON_ERR_SHUTDOWN);
+        q->push(queuedRequest(log, 3));
+        log.expectOnce(3, REASON_ERR_SHUTDOWN);
+    }
+    {   // Pushed while draining; then drain expiry of queued work.
+        auto q = fresh();
+        q->push(queuedRequest(log, 4));
+        q->beginDrain();
+        q->push(queuedRequest(log, 5));
+        log.expectOnce(5, REASON_ERR_SHUTTING_DOWN);
+        EXPECT_FALSE(q->drainWait(steadyNowNs()));
+        log.expectOnce(4, REASON_ERR_DEADLINE_EXCEEDED);
+    }
+    {   // RejectNew at capacity.
+        auto q = fresh({1, QueuePolicy::RejectNew, false});
+        q->push(queuedRequest(log, 6));
+        q->push(queuedRequest(log, 7));
+        log.expectOnce(7, REASON_ERR_OVERLOAD);
+        EXPECT_EQ(log.get(6).calls, 0);
+    }
+    {   // ShedOldest victim, completed on the pushing thread.
+        auto q = fresh({1, QueuePolicy::ShedOldest, false});
+        q->push(queuedRequest(log, 8));
+        q->push(queuedRequest(log, 9));
+        log.expectOnce(8, REASON_ERR_OVERLOAD);
+        EXPECT_EQ(log.get(9).calls, 0);
+    }
+    {   // Pop-time expiry: the gather meets an expired lane head.
+        auto q = fresh();
+        q->push(queuedRequest(log, 10));
+        q->push(queuedRequest(log, 11, steadyNowNs() - 1));
+        auto group = q->popGroup(8, 0);
+        ASSERT_EQ(group.size(), 1u);
+        log.expectOnce(11, REASON_ERR_DEADLINE_EXCEEDED);
+        q->complete(group);
+        log.expectOnce(10, REASON_OK);
+    }
+    {   // Sweep expiry and cancellation.
+        auto q = fresh();
+        q->push(queuedRequest(log, 12, steadyNowNs() - 1));
+        EXPECT_EQ(q->sweepExpired(), 1u);
+        log.expectOnce(12, REASON_ERR_DEADLINE_EXCEEDED);
+        auto r = queuedRequest(log, 13);
+        q->push(r);
+        EXPECT_TRUE(q->cancel(r));
+        EXPECT_FALSE(q->cancel(r));
+        log.expectOnce(13, REASON_ERR_CANCELLED);
+    }
+}
+
+TEST(EngineCallbacks, SessionFiresOnceOnEveryTerminalPath)
+{
+    Rng rng(116);
+    pc::Circuit circuit = pc::randomCircuit(rng, 16, 2, 3, 6);
+    std::vector<pc::Assignment> rows = sampleRows(rng, circuit, 4);
+    std::vector<double> reference = serveOneAtATime(circuit, rows);
+    const auto waitCalls = [](CallbackLog &log, int tag) {
+        for (int i = 0; i < 5000 && log.get(tag).calls == 0; ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+
+    CallbackLog log;
+    {
+        ServeOptions options;
+        options.startPaused = true;
+        options.dispatchers = 2;
+        ReasonEngine engine(options);
+        log.probe = [&engine] { (void)engine.stats(); };
+        Session session = engine.createSession(circuit);
+
+        // Rejected at submission: run on this thread before returning.
+        session.submitBatch({}, 0.0, 0, log.at(1));
+        log.expectOnce(1, REASON_ERR_BAD_BATCH);
+        session.submitBatch({rows[0]}, -1.0, 0, log.at(2));
+        log.expectOnce(2, REASON_ERR_BAD_BUDGET);
+
+        // Queued while paused: a deadline expires through the paused
+        // dispatchers' sweep; the rest execute on resume.
+        session.submitBatch({rows[0]}, 0.0, 1'000'000ull, log.at(3));
+        RequestHandle batch =
+            session.submitBatch(rows, 0.0, 0, log.at(4));
+        waitCalls(log, 3);
+        log.expectOnce(3, REASON_ERR_DEADLINE_EXCEEDED);
+        EXPECT_EQ(log.get(4).calls, 0);
+        engine.resume();
+        std::shared_ptr<const Request> r = session.wait(batch);
+        waitCalls(log, 4);
+        log.expectOnce(4, REASON_OK, rows.size());
+        for (size_t i = 0; i < rows.size(); ++i)
+            EXPECT_TRUE(bitEqual(r->outputs[i], reference[i])) << i;
+
+        // Admission closed by drain.
+        EXPECT_TRUE(engine.drain(30'000'000'000ull));
+        session.submitBatch({rows[1]}, 0.0, 0, log.at(5));
+        log.expectOnce(5, REASON_ERR_SHUTTING_DOWN);
+
+        // Still queued when the engine is destroyed.
+        ReasonEngine paused(options);
+        log.probe = [&paused] { (void)paused.stats(); };
+        Session s2 = paused.createSession(circuit);
+        s2.submitBatch({rows[2]}, 0.0, 0, log.at(6));
+    }
+    log.expectOnce(6, REASON_ERR_SHUTDOWN);
 }

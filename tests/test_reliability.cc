@@ -16,11 +16,18 @@
  *  - sockets: client/server round trips stay bit-exact, injected
  *    faults are survived via reconnect + idempotent retry, version
  *    mismatches are answered explicitly, and a mute peer cannot hang
- *    the client — this file runs in the TSan/ASan CI matrix.
+ *    the client;
+ *  - the server's event loop: Submits pipeline into the engine,
+ *    answers keep send order, a peer that stops reading stalls only
+ *    itself, connection churn leaves nothing behind, and the duplicate
+ *    cache and the connection count are bounded — this file runs in
+ *    the TSan/ASan CI matrix.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -38,8 +45,14 @@
 #if REASON_HAS_SOCKETS
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <memory>
 
 #include "sys/client.h"
 #include "sys/server.h"
@@ -398,8 +411,9 @@ struct ServerFixture
     SocketServer server;
 
     explicit ServerFixture(const pc::Circuit &circuit,
-                           const ServerOptions &options = {})
-        : serveOptions(makeServeOptions()),
+                           const ServerOptions &options = {},
+                           const ServeOptions &serve = makeServeOptions())
+        : serveOptions(serve),
           engine(serveOptions),
           server(engine, pc::cachedLowering(circuit), options)
     {
@@ -418,6 +432,110 @@ struct ServerFixture
         return o;
     }
 };
+
+/**
+ * A raw wire-protocol connection, for tests that control exactly what
+ * is sent and when.  Receives are bounded, so a wedged server fails a
+ * test instead of hanging it.
+ */
+class RawConn
+{
+  public:
+    /** Connect to the loopback `port`; a nonzero `rcvbuf` shrinks the
+     *  receive buffer first, so unread answers fill it quickly. */
+    explicit RawConn(uint16_t port, int rcvbuf = 0)
+        : fd_(::socket(AF_INET, SOCK_STREAM, 0))
+    {
+        if (fd_ < 0)
+            return;
+        if (rcvbuf > 0)
+            ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof(rcvbuf));
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        addr.sin_port = htons(port);
+        netPrepareSocket(fd_);
+        connected_ = ::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
+                               sizeof(addr)) == 0;
+        netSetRecvTimeoutMs(fd_, 10000);
+    }
+    ~RawConn()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+    RawConn(const RawConn &) = delete;
+    RawConn &operator=(const RawConn &) = delete;
+
+    int fd() const { return fd_; }
+
+    bool
+    send(const std::vector<uint8_t> &bytes)
+    {
+        return connected_ && netSendAll(fd_, bytes.data(), bytes.size());
+    }
+
+    /** The next frame; false on EOF, timeout, or a malformed stream. */
+    bool
+    read(wire::Frame *frame)
+    {
+        for (;;) {
+            const auto status = decoder_.next(frame);
+            if (status != wire::FrameDecoder::Status::NeedMore)
+                return status == wire::FrameDecoder::Status::Ok;
+            const long n = netRecv(fd_, buf_, sizeof(buf_));
+            if (n <= 0)
+                return false;
+            decoder_.feed(buf_, size_t(n));
+        }
+    }
+
+    /** Hello (protocol v3) answered by a matching HelloAck. */
+    bool
+    hello(uint64_t clientId = 0)
+    {
+        std::vector<uint8_t> out;
+        wire::appendHello(out, wire::kProtocolVersion, clientId);
+        wire::Frame ack;
+        return send(out) && read(&ack) &&
+               ack.type == wire::FrameType::HelloAck &&
+               ack.helloVersion == wire::kProtocolVersion;
+    }
+
+  private:
+    int fd_ = -1;
+    bool connected_ = false;
+    wire::FrameDecoder decoder_;
+    uint8_t buf_[1 << 14];
+};
+
+/** Append an exact-tier Submit of `rows` to `out`. */
+void
+appendSubmit(std::vector<uint8_t> &out, uint64_t id,
+             std::vector<pc::Assignment> rows, uint32_t numVars)
+{
+    wire::SubmitFrame submit;
+    submit.id = id;
+    submit.numVars = numVars;
+    submit.rows = std::move(rows);
+    wire::appendSubmit(out, submit);
+}
+
+/** Poll `done` every millisecond for up to `seconds`. */
+template <typename Pred>
+bool
+waitFor(Pred done, int seconds = 10)
+{
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(seconds);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() >= until)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
 
 } // namespace
 
@@ -503,40 +621,17 @@ TEST(SocketReliability, VersionMismatchIsAnsweredExplicitly)
 
     // Speak v2 at the server by hand: it must ack with its own
     // version and then close, never hang or execute anything.
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(fx.server.port());
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
-    netSetRecvTimeoutMs(fd, 2000);
+    RawConn conn(fx.server.port());
     std::vector<uint8_t> hello;
     wire::appendHello(hello, 2);
-    ASSERT_TRUE(netSendAll(fd, hello.data(), hello.size()));
-
-    wire::FrameDecoder decoder;
-    std::vector<uint8_t> buf(4096);
+    ASSERT_TRUE(conn.send(hello));
     bool acked = false;
-    bool closed = false;
-    while (!closed) {
-        const long n = netRecv(fd, buf.data(), buf.size());
-        if (n <= 0) {
-            closed = true;
-            break;
-        }
-        decoder.feed(buf.data(), size_t(n));
-        wire::Frame frame;
-        while (decoder.next(&frame) ==
-               wire::FrameDecoder::Status::Ok) {
-            EXPECT_EQ(frame.type, wire::FrameType::HelloAck);
-            EXPECT_EQ(frame.helloVersion, wire::kProtocolVersion);
-            acked = true;
-        }
+    wire::Frame frame;
+    while (conn.read(&frame)) { // until the server closes
+        EXPECT_EQ(frame.type, wire::FrameType::HelloAck);
+        EXPECT_EQ(frame.helloVersion, wire::kProtocolVersion);
+        acked = true;
     }
-    ::close(fd);
     EXPECT_TRUE(acked) << "server closed without acking its version";
     EXPECT_TRUE(fx.server.stop());
     EXPECT_EQ(fx.server.stats().versionRejects, 1u);
@@ -648,6 +743,367 @@ TEST(SocketReliability, ClientDeadlineCapsTheRetryLoop)
     for (const QueryOutcome &o : outcomes)
         EXPECT_EQ(o.error, REASON_ERR_DEADLINE_EXCEEDED);
     fx.server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// The event loop: pipelining, per-connection order, bounds.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** Live threads of this process (0 where /proc is unavailable). */
+size_t
+threadCount()
+{
+    std::error_code ec;
+    size_t n = 0;
+    for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+         !ec && it != end; it.increment(ec))
+        ++n;
+    return n;
+}
+
+/** Resident set size in KiB (0 where /proc is unavailable). */
+long
+rssKib()
+{
+    std::ifstream statm("/proc/self/statm");
+    long pages = 0;
+    long resident = 0;
+    if (!(statm >> pages >> resident))
+        return 0;
+    return resident * (::sysconf(_SC_PAGESIZE) / 1024);
+}
+
+} // namespace
+
+TEST(SocketLoop, SubmitsReachTheEngineWithoutWaitingForAnswers)
+{
+    Rng rng(1413);
+    pc::Circuit circuit = pc::randomCircuit(rng, 16, 2, 4, 6);
+    std::vector<pc::Assignment> rows =
+        pc::sampleDataset(rng, circuit, 32);
+    std::vector<double> reference = serveOneAtATime(circuit, rows);
+
+    ServeOptions serve = ServerFixture::makeServeOptions();
+    serve.startPaused = true;
+    ServerFixture fx(circuit, {}, serve);
+    RawConn conn(fx.server.port());
+    ASSERT_TRUE(conn.hello());
+    std::vector<uint8_t> out;
+    for (size_t i = 0; i < rows.size(); ++i)
+        appendSubmit(out, 100 + i, {rows[i]}, circuit.numVars());
+    ASSERT_TRUE(conn.send(out));
+    // Nothing is answered while the engine is paused, so a server that
+    // waits for each answer before reading on admits one Submit only.
+    EXPECT_TRUE(waitFor([&] {
+        return fx.engine.stats().requests == rows.size();
+    })) << fx.engine.stats().requests << " of " << rows.size()
+        << " Submits reached the engine";
+    fx.engine.resume();
+    for (size_t i = 0; i < rows.size(); ++i) {
+        wire::Frame frame;
+        ASSERT_TRUE(conn.read(&frame)) << "answer " << i;
+        ASSERT_EQ(frame.type, wire::FrameType::Result);
+        EXPECT_EQ(frame.result.id, 100 + i);
+        ASSERT_EQ(frame.result.error, REASON_OK) << "answer " << i;
+        ASSERT_EQ(frame.result.values.size(), 1u);
+        EXPECT_TRUE(bitEqual(frame.result.values[0], reference[i]))
+            << "answer " << i;
+    }
+    EXPECT_TRUE(fx.server.stop());
+}
+
+TEST(SocketLoop, AnswersKeepSendOrderWhenCompletionsDoNot)
+{
+    Rng rng(1414);
+    pc::Circuit circuit = pc::randomCircuit(rng, 48, 2, 4, 8);
+    std::vector<pc::Assignment> pool =
+        pc::sampleDataset(rng, circuit, 40);
+    std::vector<double> reference = serveOneAtATime(circuit, pool);
+
+    // Two dispatchers, maxBatch 8: a 40-row Submit runs alone while
+    // 1-row Submits behind it coalesce, so completions overtake.
+    ServerFixture fx(circuit);
+    RawConn conn(fx.server.port());
+    ASSERT_TRUE(conn.hello());
+    constexpr size_t kSubmits = 24;
+    std::vector<uint8_t> out;
+    for (size_t i = 0; i < kSubmits; ++i)
+        appendSubmit(out, i + 1,
+                     i % 2 == 0 ? pool
+                                : std::vector<pc::Assignment>{pool[i]},
+                     circuit.numVars());
+    ASSERT_TRUE(conn.send(out));
+    for (size_t i = 0; i < kSubmits; ++i) {
+        wire::Frame frame;
+        ASSERT_TRUE(conn.read(&frame)) << "answer " << i;
+        ASSERT_EQ(frame.type, wire::FrameType::Result);
+        ASSERT_EQ(frame.result.id, i + 1) << "answer out of send order";
+        ASSERT_EQ(frame.result.error, REASON_OK);
+        if (i % 2 == 0) {
+            ASSERT_EQ(frame.result.values.size(), pool.size());
+            for (size_t r = 0; r < pool.size(); ++r)
+                EXPECT_TRUE(
+                    bitEqual(frame.result.values[r], reference[r]))
+                    << "answer " << i << " row " << r;
+        } else {
+            ASSERT_EQ(frame.result.values.size(), 1u);
+            EXPECT_TRUE(bitEqual(frame.result.values[0], reference[i]))
+                << "answer " << i;
+        }
+    }
+    EXPECT_TRUE(fx.server.stop());
+}
+
+TEST(SocketLoop, PipelinesLongerThanTheOwedCapAreServedInOrder)
+{
+    Rng rng(1420);
+    pc::Circuit circuit = pc::randomCircuit(rng, 16, 2, 4, 6);
+    std::vector<pc::Assignment> rows =
+        pc::sampleDataset(rng, circuit, 8);
+    std::vector<double> reference = serveOneAtATime(circuit, rows);
+
+    // More frames than a connection may owe: decoding pauses at the
+    // cap and must resume as answers drain, with no new bytes to read.
+    ServerFixture fx(circuit);
+    RawConn conn(fx.server.port());
+    ASSERT_TRUE(conn.hello());
+    const size_t frames = 3 * SocketServer::kMaxOwedAnswers + 7;
+    std::vector<uint8_t> out;
+    for (size_t i = 0; i < frames; ++i) {
+        if (i % 2 == 0)
+            appendSubmit(out, i, {rows[i % rows.size()]},
+                         circuit.numVars());
+        else
+            wire::appendPing(out, i);
+    }
+    ASSERT_TRUE(conn.send(out));
+    for (size_t i = 0; i < frames; ++i) {
+        wire::Frame frame;
+        ASSERT_TRUE(conn.read(&frame)) << "answer " << i;
+        if (i % 2 == 0) {
+            ASSERT_EQ(frame.type, wire::FrameType::Result);
+            ASSERT_EQ(frame.result.id, i);
+            ASSERT_EQ(frame.result.values.size(), 1u);
+            EXPECT_TRUE(bitEqual(frame.result.values[0],
+                                 reference[i % rows.size()]));
+        } else {
+            ASSERT_EQ(frame.type, wire::FrameType::Pong);
+            ASSERT_EQ(frame.pingToken, i);
+        }
+    }
+    EXPECT_TRUE(fx.server.stop());
+}
+
+TEST(SocketLoop, EmptySubmitIsRefusedAndTheConnectionStays)
+{
+    Rng rng(1415);
+    pc::Circuit circuit = pc::randomCircuit(rng, 16, 2, 4, 6);
+    ServerFixture fx(circuit);
+    RawConn conn(fx.server.port());
+    ASSERT_TRUE(conn.hello());
+    std::vector<uint8_t> out;
+    appendSubmit(out, 7, {}, circuit.numVars());
+    wire::appendPing(out, 0x5eedull);
+    ASSERT_TRUE(conn.send(out));
+    wire::Frame frame;
+    ASSERT_TRUE(conn.read(&frame));
+    ASSERT_EQ(frame.type, wire::FrameType::Result);
+    EXPECT_EQ(frame.result.id, 7u);
+    EXPECT_EQ(frame.result.error, REASON_ERR_BAD_BATCH);
+    EXPECT_TRUE(frame.result.values.empty());
+    ASSERT_TRUE(conn.read(&frame)) << "connection closed after the error";
+    EXPECT_EQ(frame.type, wire::FrameType::Pong);
+    EXPECT_EQ(frame.pingToken, 0x5eedull);
+    EXPECT_TRUE(fx.server.stop());
+}
+
+TEST(SocketLoop, PeerThatStopsReadingStallsOnlyItself)
+{
+    Rng rng(1416);
+    pc::Circuit circuit = pc::randomCircuit(rng, 16, 2, 4, 6);
+    std::vector<pc::Assignment> rows =
+        pc::sampleDataset(rng, circuit, 64);
+    std::vector<double> reference = serveOneAtATime(circuit, rows);
+
+    ServerOptions options;
+    options.drainDeadlineNs = 300'000'000ull;
+    ServerFixture fx(circuit, options);
+
+    // The slow peer sends 64-row Submits and Pings without ever
+    // reading, until its socket stops taking bytes: the server then
+    // owes it more than the socket buffers hold.
+    RawConn slow(fx.server.port(), 4096);
+    ASSERT_TRUE(slow.hello());
+    std::vector<uint8_t> frames;
+    appendSubmit(frames, 1, rows, circuit.numVars());
+    for (int i = 0; i < 256; ++i)
+        wire::appendPing(frames, uint64_t(i));
+    // Send until the socket stays unwritable for half a second: the
+    // server has stopped reading, and TCP pushes back.
+    bool stalled = false;
+    size_t at = 0;
+    for (int bursts = 0; bursts < 20000 && !stalled;) {
+        pollfd writable{slow.fd(), POLLOUT, 0};
+        if (::poll(&writable, 1, 500) == 0) {
+            stalled = true;
+            break;
+        }
+        const ssize_t n = ::send(slow.fd(), frames.data() + at,
+                                 frames.size() - at,
+                                 MSG_DONTWAIT | MSG_NOSIGNAL);
+        if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)
+            break;
+        at += size_t(std::max<ssize_t>(n, 0));
+        if (at == frames.size()) {
+            at = 0;
+            ++bursts;
+        }
+    }
+    EXPECT_TRUE(stalled) << "the server kept reading a peer that never "
+                            "reads";
+
+    // Another connection is served normally meanwhile.
+    ClientOptions copt;
+    copt.port = fx.server.port();
+    copt.clientId = 88;
+    copt.recvTimeoutMs = 5000;
+    Client client(copt);
+    std::vector<QueryOutcome> outcomes;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_TRUE(client.runBatch(rows, &outcomes));
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(5));
+    ASSERT_EQ(outcomes.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(outcomes[i].error, REASON_OK) << "query " << i;
+        EXPECT_TRUE(bitEqual(outcomes[i].value, reference[i]));
+    }
+
+    // stop() gives up on the slow peer at the flush deadline.
+    const auto s0 = std::chrono::steady_clock::now();
+    EXPECT_TRUE(fx.server.stop());
+    EXPECT_LT(std::chrono::steady_clock::now() - s0,
+              std::chrono::nanoseconds(2 * options.drainDeadlineNs) +
+                  std::chrono::seconds(2));
+}
+
+TEST(SocketLoop, ConnectionChurnLeavesNothingBehind)
+{
+    Rng rng(1417);
+    pc::Circuit circuit = pc::randomCircuit(rng, 16, 2, 4, 6);
+    ServerFixture fx(circuit);
+    // Warm-up cycles, so first-use allocations are not counted.
+    for (int i = 0; i < 10; ++i) {
+        RawConn conn(fx.server.port());
+        ASSERT_TRUE(conn.hello());
+    }
+    ASSERT_TRUE(waitFor(
+        [&] { return fx.server.stats().liveConnections == 0; }));
+    const size_t threads = threadCount();
+    const long rss = rssKib();
+
+    constexpr int kCycles = 1000;
+    for (int i = 0; i < kCycles; ++i) {
+        RawConn conn(fx.server.port());
+        ASSERT_TRUE(conn.hello(uint64_t(i + 1))) << "cycle " << i;
+    }
+    EXPECT_TRUE(waitFor(
+        [&] { return fx.server.stats().liveConnections == 0; }))
+        << fx.server.stats().liveConnections << " connections still open";
+    EXPECT_EQ(threadCount(), threads);
+    EXPECT_LT(rssKib() - rss, 8 * 1024);
+    EXPECT_EQ(fx.server.stats().connections, uint64_t(kCycles + 10));
+    EXPECT_TRUE(fx.server.stop());
+}
+
+TEST(SocketLoop, DuplicateCacheIsOneLruAcrossClients)
+{
+    Rng rng(1418);
+    pc::Circuit circuit = pc::randomCircuit(rng, 16, 2, 4, 6);
+    std::vector<pc::Assignment> rows =
+        pc::sampleDataset(rng, circuit, 1);
+    ServerOptions options;
+    options.duplicateCacheCap = 4;
+    ServerFixture fx(circuit, options);
+
+    const auto ask = [&](uint64_t clientId) {
+        RawConn conn(fx.server.port());
+        std::vector<uint8_t> out;
+        appendSubmit(out, 1, rows, circuit.numVars());
+        wire::Frame frame;
+        return conn.hello(clientId) && conn.send(out) &&
+               conn.read(&frame) &&
+               frame.type == wire::FrameType::Result &&
+               frame.result.error == REASON_OK;
+    };
+    // One answered query for each of cap + 1 client ids: the cap is
+    // global, so the first client's answer is evicted.
+    for (uint64_t client = 1; client <= options.duplicateCacheCap + 1;
+         ++client)
+        ASSERT_TRUE(ask(client)) << "client " << client;
+    EXPECT_EQ(fx.server.stats().duplicatesSuppressed, 0u);
+    ASSERT_TRUE(ask(1));
+    EXPECT_EQ(fx.server.stats().duplicatesSuppressed, 0u)
+        << "an evicted answer was replayed";
+    ASSERT_TRUE(ask(options.duplicateCacheCap + 1));
+    EXPECT_EQ(fx.server.stats().duplicatesSuppressed, 1u)
+        << "the newest answer was not replayed";
+    EXPECT_EQ(fx.server.stats().submits,
+              uint64_t(options.duplicateCacheCap + 2));
+    EXPECT_TRUE(fx.server.stop());
+}
+
+TEST(SocketLoop, ConnectionCapRefusesWithTypedOverload)
+{
+    constexpr size_t kCap = SocketServer::kMaxConnections;
+    // Both ends of every connection live in this process.
+    const rlim_t need = 2 * (kCap + 2) + 256;
+    rlimit limit{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &limit), 0);
+    if (limit.rlim_max != RLIM_INFINITY && limit.rlim_max < need)
+        GTEST_SKIP() << "hard RLIMIT_NOFILE " << limit.rlim_max
+                     << " is below the " << need << " fds this needs";
+    const rlimit saved = limit;
+    if (limit.rlim_cur != RLIM_INFINITY && limit.rlim_cur < need) {
+        limit.rlim_cur = need;
+        ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &limit), 0);
+    }
+
+    Rng rng(1419);
+    pc::Circuit circuit = pc::randomCircuit(rng, 16, 2, 4, 6);
+    {
+        ServerFixture fx(circuit);
+        std::vector<std::unique_ptr<RawConn>> conns;
+        for (size_t i = 0; i < kCap; ++i) {
+            conns.push_back(std::make_unique<RawConn>(fx.server.port()));
+            ASSERT_TRUE(conns.back()->hello()) << "connection " << i;
+        }
+        EXPECT_EQ(fx.server.stats().liveConnections, kCap);
+        {
+            // One past the cap: a typed refusal, then EOF.
+            RawConn extra(fx.server.port());
+            wire::Frame frame;
+            ASSERT_TRUE(extra.read(&frame));
+            ASSERT_EQ(frame.type, wire::FrameType::Result);
+            EXPECT_EQ(frame.result.id, 0u);
+            EXPECT_EQ(frame.result.error, REASON_ERR_OVERLOAD);
+            EXPECT_FALSE(extra.read(&frame));
+        }
+        EXPECT_EQ(fx.server.stats().connectionsRejected, 1u);
+        // A freed slot admits again.
+        conns.pop_back();
+        ASSERT_TRUE(waitFor([&] {
+            return fx.server.stats().liveConnections == kCap - 1;
+        }));
+        RawConn again(fx.server.port());
+        EXPECT_TRUE(again.hello());
+        EXPECT_EQ(fx.server.stats().connectionsRejected, 1u);
+        conns.clear();
+        EXPECT_TRUE(fx.server.stop());
+    }
+    ::setrlimit(RLIMIT_NOFILE, &saved);
 }
 
 #endif // REASON_HAS_SOCKETS

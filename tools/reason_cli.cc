@@ -52,13 +52,16 @@
  *       run reports throughput, latency percentiles, batch occupancy,
  *       and shed counts.  With --listen the command instead serves the
  *       length-prefixed binary wire protocol (sys/wire.h, v3) on a
- *       loopback TCP socket through sys::SocketServer — one engine
- *       session per connection, idempotent-retry duplicate
+ *       loopback TCP socket through sys::SocketServer — one poll()
+ *       loop pipelining every connection's Submits into the engine,
+ *       one engine session per connection, idempotent-retry duplicate
  *       suppression, Ping/Pong heartbeats — until SIGINT/SIGTERM
  *       triggers a graceful drain (--drain-ms deadline; exit 0 iff
- *       clean).  --fault-plan (or the REASON_FAULT_PLAN environment
- *       variable) installs a deterministic fault-injection schedule
- *       (sys/fault.h) for resilience testing.
+ *       clean) whose summary line reports rows per batch and mean
+ *       queue and execution times.  --fault-plan (or the
+ *       REASON_FAULT_PLAN environment variable) installs a
+ *       deterministic fault-injection schedule (sys/fault.h) for
+ *       resilience testing.
  *
  *   bench-client <file.rpc> --port N [--host H] [--requests N]
  *         [--clients N] [--pipeline N] [--seed N] [--budget X]
@@ -851,15 +854,18 @@ runServeSocket(const pc::Circuit &circuit,
     const bool clean = server.stop();
     const sys::ServerStats st = server.stats();
     const sys::EngineStats es = engine.stats();
-    std::printf("drain: %s (%llu connections, %llu submits, %llu "
-                "duplicates suppressed, %llu version rejects, %llu "
-                "expired)\n",
+    std::printf("drain: %s (%llu connections, %llu refused, %llu "
+                "submits, %llu duplicates suppressed, %llu version "
+                "rejects, %llu expired; %.2f rows/batch, queue %.3f ms, "
+                "exec %.3f ms mean)\n",
                 clean ? "clean" : "queued work expired",
                 (unsigned long long)st.connections,
+                (unsigned long long)st.connectionsRejected,
                 (unsigned long long)st.submits,
                 (unsigned long long)st.duplicatesSuppressed,
                 (unsigned long long)st.versionRejects,
-                (unsigned long long)es.expired);
+                (unsigned long long)es.expired, es.meanBatchOccupancy,
+                es.meanQueueMs, es.meanLatencyMs - es.meanQueueMs);
     if (sys::FaultPlan *plan = sys::activeFaultPlan()) {
         const sys::FaultStats fs = plan->stats();
         std::printf("faults injected: %llu resets, %llu torn frames, "
