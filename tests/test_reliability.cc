@@ -919,6 +919,45 @@ TEST(SocketLoop, EmptySubmitIsRefusedAndTheConnectionStays)
     EXPECT_TRUE(fx.server.stop());
 }
 
+TEST(SocketLoop, IdleTimeoutClosesOnlyConnectionsOwedNothing)
+{
+    Rng rng(1421);
+    pc::Circuit circuit = pc::randomCircuit(rng, 16, 2, 4, 6);
+    std::vector<pc::Assignment> rows =
+        pc::sampleDataset(rng, circuit, 1);
+    ServerOptions options;
+    options.idleTimeoutMs = 100;
+    ServeOptions serve = ServerFixture::makeServeOptions();
+    serve.startPaused = true;
+    ServerFixture fx(circuit, options, serve);
+
+    // Silent and owed nothing: closed after the timeout.
+    RawConn idle(fx.server.port());
+    ASSERT_TRUE(idle.hello());
+    // Silent too, but owed an answer the paused engine holds back.
+    RawConn waiting(fx.server.port());
+    ASSERT_TRUE(waiting.hello());
+    std::vector<uint8_t> out;
+    appendSubmit(out, 9, rows, circuit.numVars());
+    ASSERT_TRUE(waiting.send(out));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    wire::Frame frame;
+    EXPECT_FALSE(idle.read(&frame)) << "an idle connection got a frame";
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    EXPECT_GE(waited, std::chrono::milliseconds(50));
+    EXPECT_LT(waited, std::chrono::seconds(5)) << "idle peer not closed";
+
+    fx.engine.resume();
+    ASSERT_TRUE(waiting.read(&frame)) << "closed while owed an answer";
+    ASSERT_EQ(frame.type, wire::FrameType::Result);
+    EXPECT_EQ(frame.result.id, 9u);
+    EXPECT_EQ(frame.result.error, REASON_OK);
+    // Owed nothing now, it times out in turn.
+    EXPECT_FALSE(waiting.read(&frame));
+    EXPECT_TRUE(fx.server.stop());
+}
+
 TEST(SocketLoop, PeerThatStopsReadingStallsOnlyItself)
 {
     Rng rng(1416);

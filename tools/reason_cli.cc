@@ -817,8 +817,8 @@ handleStopSignal(int)
  * (port 0 resolves to an ephemeral port) before accepting, so scripts
  * can wait for readiness.  SIGINT/SIGTERM trigger a graceful drain:
  * admission closes, queued work finishes within --drain-ms, the rest
- * expires, every in-flight answer is flushed, and the exit code says
- * whether the drain was clean.
+ * expires, every in-flight answer is flushed (within a second
+ * --drain-ms), and the exit code says whether the drain was clean.
  */
 int
 runServeSocket(const pc::Circuit &circuit,
@@ -1164,7 +1164,8 @@ cmdServe(const std::vector<std::string> &args)
                 "seed=7,reset=0.01,torn=0.02,short=0.1 (also read "
                 "from REASON_FAULT_PLAN)"),
         countOpt("--idle-timeout-ms", 0, 1u << 30, &idle_timeout_ms,
-                 "drop connections silent this long (0 = never)"),
+                 "close connections that sent nothing and are owed "
+                 "nothing this long (0 = never)"),
         countOpt("--drain-ms", 0, 1u << 30, &drain_ms,
                  "graceful-drain deadline on SIGINT/SIGTERM"),
     };
