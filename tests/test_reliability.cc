@@ -1114,12 +1114,15 @@ TEST(SocketLoop, ConnectionCapRefusesWithTypedOverload)
     pc::Circuit circuit = pc::randomCircuit(rng, 16, 2, 4, 6);
     {
         ServerFixture fx(circuit);
+        const size_t threads = threadCount();
         std::vector<std::unique_ptr<RawConn>> conns;
         for (size_t i = 0; i < kCap; ++i) {
             conns.push_back(std::make_unique<RawConn>(fx.server.port()));
             ASSERT_TRUE(conns.back()->hello()) << "connection " << i;
         }
         EXPECT_EQ(fx.server.stats().liveConnections, kCap);
+        // One loop thread serves them all.
+        EXPECT_EQ(threadCount(), threads);
         {
             // One past the cap: a typed refusal, then EOF.
             RawConn extra(fx.server.port());
