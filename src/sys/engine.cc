@@ -13,23 +13,11 @@
 namespace reason {
 namespace sys {
 
-/**
- * Shared per-session state.  Exactly one of the two kinds is active:
- * circuit sessions carry the cached lowering (also their coalescing
- * key); program sessions carry the compiled program and a private
- * cycle-accurate accelerator, used only by the dispatcher.
- */
+/** Shared per-session state: the immutable lowering, which is also
+ *  the session's coalescing key. */
 struct SessionState
 {
-    /** Circuit sessions: immutable shared lowering. */
     std::shared_ptr<const pc::FlatCircuit> lowering;
-
-    /** Program sessions. */
-    std::unique_ptr<arch::Accelerator> accel;
-    compiler::Program program;
-    uint32_t numInputs = 0;
-
-    bool isProgram() const { return accel != nullptr; }
 };
 
 namespace {
@@ -64,28 +52,6 @@ Session::finishRejected(std::shared_ptr<Request> request, int error) const
 }
 
 RequestHandle
-Session::submit(pc::Assignment row)
-{
-    std::vector<pc::Assignment> rows;
-    rows.push_back(std::move(row));
-    return submitBatch(std::move(rows));
-}
-
-RequestHandle
-Session::submitBatch(std::vector<pc::Assignment> rows)
-{
-    return submitBatch(std::move(rows), 0.0);
-}
-
-RequestHandle
-Session::submit(pc::Assignment row, double accuracyBudget)
-{
-    std::vector<pc::Assignment> rows;
-    rows.push_back(std::move(row));
-    return submitBatch(std::move(rows), accuracyBudget);
-}
-
-RequestHandle
 Session::submit(pc::Assignment row, double accuracyBudget,
                 uint64_t deadlineNs)
 {
@@ -96,20 +62,13 @@ Session::submit(pc::Assignment row, double accuracyBudget,
 
 RequestHandle
 Session::submitBatch(std::vector<pc::Assignment> rows,
-                     double accuracyBudget)
-{
-    return submitBatch(std::move(rows), accuracyBudget, 0);
-}
-
-RequestHandle
-Session::submitBatch(std::vector<pc::Assignment> rows,
                      double accuracyBudget, uint64_t deadlineNs,
                      CompletionCallback onDone)
 {
     auto request = std::make_shared<Request>();
     request->session = state_;
     request->onDone = std::move(onDone);
-    if (engine_ == nullptr || state_ == nullptr || state_->isProgram())
+    if (engine_ == nullptr || state_ == nullptr)
         return finishRejected(std::move(request),
                               REASON_ERR_WRONG_SESSION);
     // NaN fails the >= comparison; infinities are explicit.  Budgets
@@ -130,8 +89,7 @@ Session::submitBatch(std::vector<pc::Assignment> rows,
                                       REASON_ERR_BAD_ASSIGNMENT);
     }
     // Tier selection: a positive budget routes to the approximate
-    // tier; budget 0 (including -0.0) is the exact tier, so the
-    // budgeted overloads degrade to the classic path bit for bit.
+    // tier; budget 0 (including -0.0) is the exact tier.
     if (accuracyBudget > 0.0) {
         request->mode = REASON_MODE_APPROX;
         request->accuracyBudget = accuracyBudget;
@@ -145,33 +103,6 @@ Session::submitBatch(std::vector<pc::Assignment> rows,
     // never re-anchor them.
     if (deadlineNs != 0)
         request->deadlineNs = steadyNowNs() + deadlineNs;
-    return engine_->enqueue(request);
-}
-
-RequestHandle
-Session::submitProgram(int batch_size, const double *inputs, int mode)
-{
-    auto request = std::make_shared<Request>();
-    request->session = state_;
-    if (engine_ == nullptr || state_ == nullptr || !state_->isProgram())
-        return finishRejected(std::move(request),
-                              REASON_ERR_WRONG_SESSION);
-    if (batch_size <= 0)
-        return finishRejected(std::move(request), REASON_ERR_BAD_BATCH);
-    if (inputs == nullptr)
-        return finishRejected(std::move(request),
-                              REASON_ERR_NULL_BUFFER);
-    if (mode < REASON_MODE_PROBABILISTIC || mode > REASON_MODE_SPMSPM)
-        return finishRejected(std::move(request), REASON_ERR_BAD_MODE);
-    request->mode = ReasonMode(mode);
-    request->groupKey = state_.get();
-    // Program execution mutates the session accelerator: the shard
-    // must serialize its in-flight groups across dispatchers.
-    request->exclusive = true;
-    request->batchSize = batch_size;
-    request->inputs.assign(inputs,
-                           inputs + size_t(batch_size) *
-                                        state_->numInputs);
     return engine_->enqueue(request);
 }
 
@@ -267,20 +198,6 @@ ReasonEngine::createSession(std::shared_ptr<const pc::FlatCircuit> lowering)
     return Session(this, std::move(state));
 }
 
-Session
-ReasonEngine::createSession(const arch::ArchConfig &config,
-                            compiler::Program program)
-{
-    auto state = std::make_shared<SessionState>();
-    state->accel = std::make_unique<arch::Accelerator>(config);
-    state->program = std::move(program);
-    uint32_t num_inputs = 0;
-    for (const auto &p : state->program.inputs)
-        num_inputs = std::max(num_inputs, p.inputTag + 1);
-    state->numInputs = num_inputs;
-    return Session(this, std::move(state));
-}
-
 void
 ReasonEngine::pause()
 {
@@ -303,33 +220,7 @@ ReasonEngine::drain(uint64_t deadlineNs)
 EngineStats
 ReasonEngine::stats() const
 {
-    const QueueStats q = queue_.stats();
-    EngineStats s;
-    s.requests = q.requests;
-    s.rows = q.rows;
-    s.batches = q.batches;
-    s.completed = q.completed;
-    s.executed = q.executed;
-    s.meanBatchOccupancy = q.meanBatchOccupancy();
-    s.maxQueueDepth = q.maxQueueDepth;
-    // Means are over *executed* requests: shed/rejected/shutdown
-    // completions carry no latency and would bias the means low
-    // exactly when the engine is overloaded.
-    if (q.executed > 0) {
-        s.meanQueueMs =
-            double(q.totalQueueNs) / double(q.executed) * 1e-6;
-        s.meanLatencyMs =
-            double(q.totalLatencyNs) / double(q.executed) * 1e-6;
-    }
-    s.shedRequests = q.shedRequests;
-    s.expired = q.expired;
-    s.cancelled = q.cancelled;
-    s.p50LatencyMs = q.p50LatencyMs;
-    s.p99LatencyMs = q.p99LatencyMs;
-    s.ewmaInterArrivalUs = q.ewmaInterArrivalUs;
-    s.ewmaExecUs = q.ewmaExecUs;
-    s.lastLingerUs = q.lastLingerUs;
-    return s;
+    return queue_.stats();
 }
 
 RequestHandle
@@ -364,15 +255,6 @@ ReasonEngine::executeGroup(
     Dispatcher &disp,
     const std::vector<std::shared_ptr<Request>> &group)
 {
-    if (group.front()->session->isProgram()) {
-        // Program requests share a key only within one session; their
-        // shard is exclusive (one in-flight group), so they execute
-        // back to back, each exactly like a sequential REASON_execute
-        // call — for any dispatcher count.
-        for (const auto &r : group)
-            executeProgramRequest(disp, *r);
-        return;
-    }
     if (group.front()->mode == REASON_MODE_APPROX) {
         executeApproxGroup(disp, group);
         return;
@@ -525,30 +407,6 @@ ReasonEngine::executeApproxGroup(
         }
         first = last;
     }
-}
-
-void
-ReasonEngine::executeProgramRequest(Dispatcher &disp, Request &request)
-{
-    SessionState &s = *request.session;
-    const double *in = request.inputs.data();
-    const int batch_size = request.batchSize;
-    request.outputs.resize(size_t(batch_size));
-
-    uint64_t batch_cycles = 0;
-    disp.inputRow.resize(s.numInputs);
-    for (int b = 0; b < batch_size; ++b) {
-        // Reused row buffer: batched serving must not allocate per item.
-        disp.inputRow.assign(in + size_t(b) * s.numInputs,
-                             in + size_t(b + 1) * s.numInputs);
-        arch::ExecutionResult r =
-            s.accel->run(s.program, disp.inputRow, /*preloaded=*/b > 0);
-        request.outputs[size_t(b)] = r.rootValue;
-        batch_cycles += r.cycles;
-        if (b == batch_size - 1)
-            request.exec = std::move(r);
-    }
-    request.execCycles = batch_cycles;
 }
 
 } // namespace sys

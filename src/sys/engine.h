@@ -1,30 +1,29 @@
 /**
  * @file
  * sys::ReasonEngine — the asynchronous batch-serving front door of the
- * runtime (the production successor of the Listing-1 polling loop).
+ * runtime.  It serves probabilistic circuits on the flat engine
+ * (pc/flat_pc.h); the Listing-1 interface runs on the simulator path
+ * instead (sys/reason_api.h).
  *
  * An engine owns a sharded submission queue (sys::RequestQueue) and N
  * dispatcher threads, each with a private evaluator cache and
  * util::ThreadPool evaluation pool.  Clients open *sessions* and
- * submit requests; dispatchers drain per-fingerprint shards — circuit
- * sessions are keyed by their structural lowering fingerprint
+ * submit requests; dispatchers drain per-fingerprint shards — sessions
+ * are keyed by their structural lowering fingerprint
  * (pc::cachedLowering), so independent sessions over structurally
  * identical circuits share batches — and execute each coalesced group
  * as one blocked SoA evaluation on pc::CircuitEvaluator.  The queue
  * provides bounded admission with overload shedding, per-session
  * fairness, and optional linger autotuning (see request_queue.h).
  *
- * **Determinism contract.**  Every circuit-mode row is evaluated
- * through the one canonical SIMD block kernel of
+ * **Determinism contract.**  Every row is evaluated through the one
+ * canonical SIMD block kernel of
  * pc::CircuitEvaluator::logLikelihoodBatch (tails run the same masked
  * kernel; SoA lanes are independent), so a
  * request's outputs are bit-identical no matter how it was coalesced —
  * alone, with other requests, or split across engine instances — and
  * for any serveThreads or dispatcher count and any queue policy (the
  * pool contract of flat_pc.h; dispatchers share no evaluation state).
- * Program-mode (Listing-1) requests replay the exact per-row
- * accelerator loop of the pre-engine ReasonRuntime, so their outputs
- * are bit-identical to sequential REASON_execute.
  *
  * **Thread-safety.**  Sessions and handles may be used from any
  * thread; submissions and waits from many client threads are the
@@ -50,8 +49,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "arch/config.h"
-#include "compiler/program.h"
 #include "pc/approx.h"
 #include "pc/flat_pc.h"
 #include "sys/request_queue.h"
@@ -68,8 +65,8 @@ namespace sys {
 class ReasonEngine;
 
 /**
- * Serving knobs of a ReasonEngine (mirrored on sys::RuntimeOptions and
- * the reason_cli/bench_eval flags).
+ * Serving knobs of a ReasonEngine (mirrored on the reason_cli and
+ * bench_eval flags).
  */
 struct ServeOptions
 {
@@ -104,8 +101,8 @@ struct ServeOptions
     bool startPaused = false;
     /**
      * Dispatcher threads draining the sharded queue.  Each dispatcher
-     * owns a private evaluator cache and evaluation pool, so circuit
-     * shards can execute concurrently; 0 behaves as 1.  Results are
+     * owns a private evaluator cache and evaluation pool, so shards
+     * can execute concurrently; 0 behaves as 1.  Results are
      * bit-identical for any count.
      */
     unsigned dispatchers = 1;
@@ -128,49 +125,6 @@ struct ServeOptions
      * (best effort; a no-op on platforms without affinity support).
      */
     bool pinThreads = false;
-};
-
-/** Aggregate serving statistics (snapshot; monotone counters). */
-struct EngineStats
-{
-    /** Requests accepted into the queue. */
-    uint64_t requests = 0;
-    /** Rows across accepted requests. */
-    uint64_t rows = 0;
-    /** Coalesced batches dispatched. */
-    uint64_t batches = 0;
-    /** Requests completed (including shutdown/overload failures). */
-    uint64_t completed = 0;
-    /** Requests that actually executed (completed minus failures). */
-    uint64_t executed = 0;
-    /** Mean rows per dispatched batch. */
-    double meanBatchOccupancy = 0.0;
-    /** Deepest pending-queue depth observed. */
-    uint64_t maxQueueDepth = 0;
-    /** Mean enqueue-to-dispatch wait over executed requests (ms). */
-    double meanQueueMs = 0.0;
-    /** Mean enqueue-to-completion latency over executed requests (ms). */
-    double meanLatencyMs = 0.0;
-    /** Requests completed with REASON_ERR_OVERLOAD. */
-    uint64_t shedRequests = 0;
-    /**
-     * Requests completed with REASON_ERR_DEADLINE_EXCEEDED (deadline
-     * passed while queued, or drain-deadline expiry).  Never counted
-     * in `executed`, so latency means stay unbiased.
-     */
-    uint64_t expired = 0;
-    /** Requests completed with REASON_ERR_CANCELLED. */
-    uint64_t cancelled = 0;
-    /**
-     * Latency percentiles over executed requests, from a fixed-size
-     * reservoir sample — the same estimate bench_eval reports.
-     */
-    double p50LatencyMs = 0.0;
-    double p99LatencyMs = 0.0;
-    /** Linger-autotune telemetry (EWMAs; zero until enough traffic). */
-    double ewmaInterArrivalUs = 0.0;
-    double ewmaExecUs = 0.0;
-    double lastLingerUs = 0.0;
 };
 
 /**
@@ -213,7 +167,7 @@ class RequestHandle
     /**
      * Approximate tier: certified per-row interval endpoints,
      * boundsLo()[r] <= exact log-likelihood <= boundsHi()[r].
-     * Empty for exact-tier and program requests.
+     * Empty for exact-tier requests.
      */
     const std::vector<double> &boundsLo() const
     {
@@ -223,13 +177,6 @@ class RequestHandle
     {
         return checked().boundHi;
     }
-    /** Program mode: execution result of the batch's final row. */
-    const arch::ExecutionResult &execution() const
-    {
-        return checked().exec;
-    }
-    /** Program mode: simulated cycles consumed by the batch. */
-    uint64_t executionCycles() const { return checked().execCycles; }
     /** Enqueue-to-completion latency in nanoseconds (0 until done). */
     uint64_t
     latencyNs() const
@@ -257,10 +204,9 @@ class RequestHandle
 };
 
 /**
- * One client's view of the engine.  Circuit sessions submit assignment
- * rows and receive log-likelihoods; program sessions submit Listing-1
- * input batches executed on a private cycle-accurate accelerator.
- * Copyable (copies share the underlying session state).
+ * One client's view of the engine: it submits assignment rows over one
+ * circuit and receives log-likelihoods.  Copyable (copies share the
+ * underlying session state).
  */
 class Session
 {
@@ -269,41 +215,31 @@ class Session
 
     bool valid() const { return engine_ != nullptr; }
 
-    /**
-     * Circuit sessions: submit one assignment row.  Never blocks and
-     * never throws; validation failures return an already-completed
-     * handle carrying the ReasonError.
-     */
-    RequestHandle submit(pc::Assignment row);
+    /** Submit one assignment row: submitBatch with a single row. */
+    RequestHandle submit(pc::Assignment row, double accuracyBudget = 0.0,
+                         uint64_t deadlineNs = 0);
 
     /**
-     * Circuit sessions: submit many rows as one request.  A request
-     * always executes as one evaluation, even when it exceeds
-     * ServeOptions::maxBatch (the cap bounds coalescing only); split
-     * bulk queries into several requests for bounded dispatch units.
-     */
-    RequestHandle submitBatch(std::vector<pc::Assignment> rows);
-
-    /**
-     * Tier-selecting submission: the engine picks the tier from the
-     * accuracy budget.  Budget 0 routes to the exact tier (identical
-     * to the budget-less overloads); a positive budget routes to
+     * Submit many rows as one request.  Never blocks and never throws;
+     * validation failures return an already-completed handle carrying
+     * the ReasonError.  A request always executes as one evaluation,
+     * even when it exceeds ServeOptions::maxBatch (the cap bounds
+     * coalescing only); split bulk queries into several requests for
+     * bounded dispatch units.
+     *
+     * The engine picks the tier from `accuracyBudget`.  Budget 0
+     * routes to the exact tier; a positive budget routes to
      * REASON_MODE_APPROX, whose results carry certified per-row
      * bounds (RequestHandle::boundsLo/boundsHi) and are bit-identical
      * across threads, batch shapes, and dispatcher counts.  NaN,
      * infinite, or negative budgets fail with REASON_ERR_BAD_BUDGET.
-     */
-    RequestHandle submit(pc::Assignment row, double accuracyBudget);
-    RequestHandle submitBatch(std::vector<pc::Assignment> rows,
-                              double accuracyBudget);
-
-    /**
-     * Deadline-carrying submissions: `deadlineNs` is *relative* to the
-     * submit call (anchored to the steady clock here; 0 = no
-     * deadline).  A request whose deadline passes while it is still
-     * queued completes with REASON_ERR_DEADLINE_EXCEEDED; once a
-     * dispatcher picks it up it always completes normally, so answered
-     * results stay bit-identical to deadline-less runs.
+     *
+     * `deadlineNs` is *relative* to the submit call (anchored to the
+     * steady clock here; 0 = no deadline).  A request whose deadline
+     * passes while it is still queued completes with
+     * REASON_ERR_DEADLINE_EXCEEDED; once a dispatcher picks it up it
+     * always completes normally, so answered results stay
+     * bit-identical to deadline-less runs.
      *
      * `onDone`, when set, is the request's completion callback: it runs
      * exactly once, after the request is Done, on every terminal path
@@ -311,19 +247,10 @@ class Session
      * returns, when the request is rejected at submission.  wait/poll
      * keep working alongside it.
      */
-    RequestHandle submit(pc::Assignment row, double accuracyBudget,
-                         uint64_t deadlineNs);
     RequestHandle submitBatch(std::vector<pc::Assignment> rows,
-                              double accuracyBudget, uint64_t deadlineNs,
+                              double accuracyBudget = 0.0,
+                              uint64_t deadlineNs = 0,
                               CompletionCallback onDone = {});
-
-    /**
-     * Program sessions: submit a Listing-1 batch (row-major inputs,
-     * batch_size rows of the program's input arity).  `mode` must be a
-     * ReasonMode value.
-     */
-    RequestHandle submitProgram(int batch_size, const double *inputs,
-                                int mode);
 
     /** True once the request completed (success or error). */
     bool poll(const RequestHandle &handle) const;
@@ -384,14 +311,6 @@ class ReasonEngine
      * session's lifetime.
      */
     Session createSession(std::shared_ptr<const pc::FlatCircuit> lowering);
-
-    /**
-     * Open a Listing-1 session: the compiled program runs on a private
-     * cycle-accurate accelerator, one row at a time, exactly as the
-     * pre-engine ReasonRuntime executed it.
-     */
-    Session createSession(const arch::ArchConfig &config,
-                          compiler::Program program);
 
     /** Hold dispatching; queued submissions accumulate (and coalesce). */
     void pause();
@@ -475,8 +394,6 @@ class ReasonEngine
          *  allocation once warm. */
         std::vector<pc::Assignment> groupRows;
         std::vector<double> groupOut;
-        /** Program-mode reused input row (the Listing-1 alloc hoist). */
-        std::vector<double> inputRow;
         std::unique_ptr<util::ThreadPool> evalPool;
         /** First core of this dispatcher's pin block (pinThreads). */
         unsigned pinCore = 0;
@@ -492,7 +409,6 @@ class ReasonEngine
     void executeApproxGroup(
         Dispatcher &disp,
         const std::vector<std::shared_ptr<Request>> &group);
-    void executeProgramRequest(Dispatcher &disp, Request &request);
     pc::CircuitEvaluator &evaluatorFor(Dispatcher &disp,
                                        const pc::FlatCircuit &flat,
                                        std::shared_ptr<const pc::FlatCircuit>

@@ -1,56 +1,18 @@
 #include "sys/reason_api.h"
 
+#include <algorithm>
 #include <cstring>
-
-#include "util/logging.h"
-#include "util/parallel.h"
+#include <utility>
 
 namespace reason {
 namespace sys {
 
-namespace {
-
-ServeOptions
-serveOptionsFrom(const RuntimeOptions &options)
-{
-    ServeOptions serve;
-    serve.maxBatch = options.maxBatch;
-    serve.maxCoalesceWindowUs = options.maxCoalesceWindowUs;
-    serve.serveThreads = options.serveThreads;
-    serve.dispatchers = options.dispatchers;
-    serve.queueCapacity = options.queueCapacity;
-    serve.queuePolicy = options.queuePolicy;
-    serve.autoLingerWindow = options.autoLingerWindow;
-    serve.pinThreads = options.pinThreads;
-    return serve;
-}
-
-} // namespace
-
 ReasonRuntime::ReasonRuntime(const arch::ArchConfig &config,
                              compiler::Program program)
-    : session_(engine_.createSession(config, std::move(program)))
+    : accel_(config), program_(std::move(program))
 {
-}
-
-ReasonRuntime::ReasonRuntime(const arch::ArchConfig &config,
-                             compiler::Program program,
-                             const RuntimeOptions &options)
-    : engine_(serveOptionsFrom(options)),
-      session_(engine_.createSession(config, std::move(program)))
-{
-    if (options.evalThreads > 0)
-        util::setGlobalThreads(options.evalThreads);
-    if (options.learnShards != 0 ||
-        options.learnReduction != LearnReduction::Inherit) {
-        util::ReductionPolicy policy = util::reductionPolicy();
-        if (options.learnShards != 0)
-            policy.shards = options.learnShards;
-        if (options.learnReduction != LearnReduction::Inherit)
-            policy.deterministic =
-                options.learnReduction == LearnReduction::Deterministic;
-        util::setReductionPolicy(policy);
-    }
+    for (const auto &p : program_.inputs)
+        numInputs_ = std::max(numInputs_, p.inputTag + 1);
 }
 
 int
@@ -78,17 +40,22 @@ ReasonRuntime::REASON_execute(int batch_id, int batch_size,
     shm_.neuralReady = true;
     shm_.symbolicReady = false;
 
-    // Listing-1 is synchronous: one submission, one blocking wait.
-    std::shared_ptr<const Request> request =
-        session_.wait(session_.submitProgram(batch_size, in, mode));
-    if (request->error != REASON_OK)
-        return request->error;
-
-    std::memcpy(out, request->outputs.data(),
-                request->outputs.size() * sizeof(double));
-    results_[batch_id] = request->exec;
-    completion_[batch_id] = now_ + request->execCycles;
-    now_ += request->execCycles;
+    // Row b is copied out before out[b] is written, and out[b] lies in
+    // rows 0..b, so an aliased symbolic buffer never clobbers an
+    // unread row.
+    uint64_t batch_cycles = 0;
+    for (int b = 0; b < batch_size; ++b) {
+        inputRow_.assign(in + size_t(b) * numInputs_,
+                         in + size_t(b + 1) * numInputs_);
+        arch::ExecutionResult r =
+            accel_.run(program_, inputRow_, /*preloaded=*/b > 0);
+        out[b] = r.rootValue;
+        batch_cycles += r.cycles;
+        if (b == batch_size - 1)
+            results_[batch_id] = std::move(r);
+    }
+    completion_[batch_id] = now_ + batch_cycles;
+    now_ += batch_cycles;
 
     shm_.neuralReady = false;
     shm_.symbolicReady = true;

@@ -3,14 +3,13 @@
  * The REASON programming interface (Sec. VI-B, Listing 1):
  * REASON_execute / REASON_check_status over shared-memory flag buffers.
  *
- * Since the serving redesign this is a thin compatibility shim over
- * sys::ReasonEngine (sys/engine.h): a ReasonRuntime owns one engine
- * with one program session and turns every REASON_execute call into a
- * submit + blocking wait, preserving the original single-tenant
- * polling semantics (simulated-cycle accounting included) bit for bit.
- * New code should use the engine directly — it serves many sessions,
- * overlaps submission with execution, and coalesces requests into
- * batched evaluations.
+ * Listing 1 is a synchronous, single-tenant loop, and ReasonRuntime
+ * runs it as one: each REASON_execute call executes its batch row by
+ * row on the runtime's own cycle-accurate accelerator (src/arch) on
+ * the calling thread, and a runtime starts no threads.  Concurrent
+ * circuit traffic belongs to sys::ReasonEngine (sys/engine.h), the
+ * flat-engine serving path; the two share only the status, mode and
+ * error codes of sys/request_queue.h.
  *
  * The runtime simulates the co-processor side: the host (GPU SM proxy)
  * writes neural results into shared memory and sets `neural_ready`;
@@ -27,7 +26,7 @@
 
 #include "arch/accelerator.h"
 #include "compiler/program.h"
-#include "sys/engine.h"
+#include "sys/request_queue.h"
 
 namespace reason {
 namespace sys {
@@ -44,91 +43,15 @@ struct SharedMemory
     bool symbolicReady = false;
 };
 
-/** Learning-reduction determinism selector for RuntimeOptions. */
-enum class LearnReduction : uint8_t
-{
-    /** Keep the current process-wide util::ReductionPolicy mode. */
-    Inherit = 0,
-    /** Fixed-shape reductions, bit-identical for any thread count. */
-    Deterministic,
-    /** Shard per worker; relaxes only the reduction shape. */
-    Fast
-};
-
-/**
- * Runtime-level execution options (Sec. VI-B extensions).
- */
-struct RuntimeOptions
-{
-    /**
-     * Worker count for the functional (flat wavefront) evaluation
-     * paths reached through this runtime.  Applied process-wide via
-     * util::setGlobalThreads at construction; 0 leaves the current
-     * global setting untouched.  Thread-parallel evaluation is
-     * bit-identical to serial, so this knob never changes results.
-     * Evaluators resolve the global pool per call (never caching the
-     * pointer), but the runtime must not be constructed while another
-     * thread is mid-evaluation on the global pool — configure at
-     * startup or between evaluation phases.
-     */
-    unsigned evalThreads = 0;
-
-    /**
-     * Sample-shard count of the learning reductions (EM flow
-     * accumulation, Baum-Welch statistics) reached through this
-     * process.  Applied to util::ReductionPolicy at construction; 0
-     * leaves the current policy untouched (its own 0 means auto).
-     */
-    unsigned learnShards = 0;
-
-    /**
-     * Determinism mode of those reductions; Inherit leaves the current
-     * policy untouched.  Deterministic reductions are bit-identical
-     * across thread counts; Fast shards per worker (see
-     * util::ReductionPolicy).
-     */
-    LearnReduction learnReduction = LearnReduction::Inherit;
-
-    /**
-     * Serving knobs forwarded to the embedded sys::ReasonEngine (see
-     * ServeOptions for semantics).  They do not change Listing-1
-     * results — the shim submits and waits one batch at a time, so
-     * coalescing never crosses a REASON_execute call — but they apply
-     * when the runtime's engine is shared with async submitters.
-     */
-    unsigned maxBatch = 64;
-    /** ServeOptions::maxCoalesceWindowUs. */
-    unsigned maxCoalesceWindowUs = 0;
-    /** ServeOptions::serveThreads (0 = hardware concurrency). */
-    unsigned serveThreads = 1;
-    /** ServeOptions::dispatchers (0 behaves as 1). */
-    unsigned dispatchers = 1;
-    /** ServeOptions::queueCapacity (0 = unbounded). */
-    size_t queueCapacity = 0;
-    /** ServeOptions::queuePolicy. */
-    QueuePolicy queuePolicy = QueuePolicy::RejectNew;
-    /** ServeOptions::autoLingerWindow. */
-    bool autoLingerWindow = false;
-    /**
-     * Pin engine dispatchers and pool workers to cores
-     * (ServeOptions::pinThreads; best effort, no-op where
-     * unsupported).
-     */
-    bool pinThreads = false;
-};
-
 /**
  * Simulated REASON co-processor runtime implementing the C-style
- * interface of Listing 1, as a compatibility shim over ReasonEngine.
+ * interface of Listing 1 on a private cycle-accurate accelerator.
  */
 class ReasonRuntime
 {
   public:
     ReasonRuntime(const arch::ArchConfig &config,
                   compiler::Program program);
-    ReasonRuntime(const arch::ArchConfig &config,
-                  compiler::Program program,
-                  const RuntimeOptions &options);
 
     /** Shared memory visible to both host and co-processor. */
     SharedMemory &sharedMemory() { return shm_; }
@@ -136,7 +59,9 @@ class ReasonRuntime
     /**
      * Trigger symbolic execution for one batch (Listing 1).
      * The neural buffer must hold batch_size * numInputs doubles; the
-     * symbolic buffer receives batch_size root values.
+     * symbolic buffer receives batch_size root values.  The two
+     * buffers may alias: each row's inputs are read before its output
+     * is written.
      *
      * @return REASON_OK (0) on success, or a distinct negative
      *         ReasonError (sys/request_queue.h):
@@ -166,18 +91,19 @@ class ReasonRuntime
     /** Simulated cycles consumed so far. */
     uint64_t totalCycles() const { return now_; }
 
-    /** Per-batch execution results. */
+    /** Per-batch execution results (the batch's final row). */
     const std::unordered_map<int, arch::ExecutionResult> &results() const
     {
         return results_;
     }
 
-    /** The serving engine backing this runtime (shared sessions etc.). */
-    ReasonEngine &engine() { return engine_; }
-
   private:
-    ReasonEngine engine_;
-    Session session_;
+    arch::Accelerator accel_;
+    compiler::Program program_;
+    /** Values per input row: the program's largest input tag + 1. */
+    uint32_t numInputs_ = 0;
+    /** Reused input row: batched execution allocates nothing per row. */
+    std::vector<double> inputRow_;
     SharedMemory shm_;
     uint64_t now_ = 0;
     /** batch id -> completion cycle. */

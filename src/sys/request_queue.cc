@@ -326,8 +326,6 @@ RequestQueue::pushLocked(const std::shared_ptr<Request> &request)
 
     const ShardKey key{request->groupKey, request->mode};
     Shard &shard = shards_[key];
-    if (request->exclusive)
-        shard.exclusive = true;
     Lane *lane = nullptr;
     for (Lane &l : shard.lanes)
         if (l.session == request->session.get()) {
@@ -347,7 +345,7 @@ RequestQueue::pushLocked(const std::shared_ptr<Request> &request)
         age_.push_back(request);
 
     stats_.requests += 1;
-    stats_.rows += request->numRows();
+    stats_.rows += request->rows.size();
     stats_.maxQueueDepth =
         std::max<uint64_t>(stats_.maxQueueDepth, totalPending_);
 
@@ -386,9 +384,9 @@ RequestQueue::gatherLocked(Shard &shard,
         // The first request always rides (oversized explicit batches
         // still run); afterwards stop at the row budget.
         if (!group.empty() &&
-            rowCount + head->numRows() > maxRows)
+            rowCount + head->rows.size() > maxRows)
             break;
-        rowCount += head->numRows();
+        rowCount += head->rows.size();
         group.push_back(std::move(head));
         lane.queue.pop_front();
         --shard.pendingRequests;
@@ -504,20 +502,17 @@ RequestQueue::popGroup(size_t maxRows, unsigned lingerUs)
             }
         }
 
-        // Release the shard for concurrent pops; exclusive shards stay
-        // held until complete() so stateful program execution is
-        // serialized.  Re-readying goes behind other ready shards —
-        // that is the cross-fingerprint fairness.  (`shard` stayed
-        // valid across the linger waits: map references survive
-        // rehashes, and only the inService holder may erase a shard —
-        // but `sit` may not have, so re-find before erasing.)
-        if (!shard.exclusive) {
-            shard.inService = false;
-            if (shard.pendingRequests > 0)
-                readyShardLocked(key, shard);
-            else
-                eraseShardIfIdleLocked(shards_.find(key));
-        }
+        // Release the shard for concurrent pops.  Re-readying goes
+        // behind other ready shards — that is the cross-fingerprint
+        // fairness.  (`shard` stayed valid across the linger waits: map
+        // references survive rehashes, and only the inService holder
+        // may erase a shard — but `sit` may not have, so re-find
+        // before erasing.)
+        shard.inService = false;
+        if (shard.pendingRequests > 0)
+            readyShardLocked(key, shard);
+        else
+            eraseShardIfIdleLocked(shards_.find(key));
 
         const uint64_t started = nowNs();
         for (const auto &r : group) {
@@ -526,7 +521,7 @@ RequestQueue::popGroup(size_t maxRows, unsigned lingerUs)
         }
         running_ += group.size();
         stats_.batches += 1;
-        stats_.batchedRows += rowCount;
+        batchedRows_ += rowCount;
         notifyUnlocked(lock); // requests the gathers expired
         return group;
     }
@@ -561,8 +556,8 @@ RequestQueue::complete(const std::vector<std::shared_ptr<Request>> &group)
         r->state = RequestState::Done;
         noteDoneLocked(r);
         r->completedNs = done;
-        stats_.totalQueueNs += r->startedNs - r->enqueuedNs;
-        stats_.totalLatencyNs += done - r->enqueuedNs;
+        totalQueueNs_ += r->startedNs - r->enqueuedNs;
+        totalLatencyNs_ += done - r->enqueuedNs;
         ++stats_.completed;
         ++stats_.executed;
         recordLatencyLocked(double(done - r->enqueuedNs) / 1e6);
@@ -570,19 +565,6 @@ RequestQueue::complete(const std::vector<std::shared_ptr<Request>> &group)
     if (!group.empty() && group.front()->startedNs > 0)
         ewmaExecNs_ = ewma(ewmaExecNs_,
                            double(done - group.front()->startedNs));
-    if (!group.empty() && group.front()->exclusive && !shutdown_) {
-        // Re-open the exclusive shard for its next group.
-        auto sit = shards_.find(ShardKey{group.front()->groupKey,
-                                         group.front()->mode});
-        if (sit != shards_.end()) {
-            Shard &shard = sit->second;
-            shard.inService = false;
-            if (shard.pendingRequests > 0)
-                readyShardLocked(sit->first, shard);
-            else
-                eraseShardIfIdleLocked(sit);
-        }
-    }
     doneCv_.notify_all();
     notifyUnlocked(lock);
 }
@@ -687,11 +669,23 @@ RequestQueue::resume()
     workCv_.notify_all();
 }
 
-QueueStats
+EngineStats
 RequestQueue::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    QueueStats out = stats_;
+    EngineStats out = stats_;
+    if (out.batches > 0)
+        out.meanBatchOccupancy =
+            double(batchedRows_) / double(out.batches);
+    // Means are over *executed* requests: shed/rejected/shutdown
+    // completions carry no latency and would bias the means low
+    // exactly when the engine is overloaded.
+    if (out.executed > 0) {
+        out.meanQueueMs =
+            double(totalQueueNs_) / double(out.executed) * 1e-6;
+        out.meanLatencyMs =
+            double(totalLatencyNs_) / double(out.executed) * 1e-6;
+    }
     out.ewmaInterArrivalUs = ewmaInterArrivalNs_ / 1000.0;
     out.ewmaExecUs = ewmaExecNs_ / 1000.0;
     out.lastLingerUs = lastLingerUs_;

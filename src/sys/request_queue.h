@@ -1,9 +1,10 @@
 /**
  * @file
  * Submission queue of the async serving engine (sys::ReasonEngine):
- * request records, their lifecycle, the error-code contract shared
- * with the Listing-1 compatibility shim, and the coalescing pop that
- * turns independent queued requests into one batched evaluation.
+ * request records, their lifecycle, the status, mode and error codes
+ * shared with the Listing-1 runtime (sys/reason_api.h), the engine's
+ * statistics, and the coalescing pop that turns independent queued
+ * requests into one batched evaluation.
  *
  * The queue is the synchronization hub of the engine.  Requests are
  * sharded by their coalescing key (circuit lowering fingerprint +
@@ -24,10 +25,8 @@
  *    request or sheds the globally oldest queued one (QueuePolicy),
  *    completing the victim with REASON_ERR_OVERLOAD — clients always
  *    get an answer, the queue never grows without bound.
- *  - **Exclusive shards.**  Program (Listing-1) requests mutate their
- *    session's accelerator state, so their shards admit one in-flight
- *    group at a time; circuit shards are stateless and may be drained
- *    by several dispatchers concurrently.
+ *  - **Stateless shards.**  Executing a group mutates no session
+ *    state, so several dispatchers may drain one shard concurrently.
  *  - **Linger autotuning.**  The queue tracks EWMAs of request
  *    inter-arrival time and batch execution time; when enabled, the
  *    coalesce linger window is derived from them (wait only while the
@@ -54,7 +53,6 @@
 #include <utility>
 #include <vector>
 
-#include "arch/accelerator.h"
 #include "pc/pc.h"
 
 namespace reason {
@@ -72,9 +70,8 @@ enum ReasonMode : int
     /**
      * Approximate/anytime circuit tier: the request carries an
      * accuracy budget and its results carry certified error bounds
-     * (pc::ApproxEvaluator).  Only valid for circuit sessions; the
-     * engine selects this mode itself when a submission's budget is
-     * positive.
+     * (pc::ApproxEvaluator).  Served by the engine only, which
+     * selects this mode itself when a submission's budget is positive.
      */
     REASON_MODE_APPROX = 3
 };
@@ -98,7 +95,7 @@ enum ReasonError : int
     REASON_ERR_DUPLICATE_BATCH = -4,
     /** An assignment row is too short or holds an out-of-range value. */
     REASON_ERR_BAD_ASSIGNMENT = -5,
-    /** Submission kind does not match the session kind (or no session). */
+    /** Submission through a session with no engine (default-constructed). */
     REASON_ERR_WRONG_SESSION = -6,
     /** Engine shut down before the request could execute. */
     REASON_ERR_SHUTDOWN = -7,
@@ -206,7 +203,7 @@ steadyNowNs()
  *
  * Mutable fields are written under the RequestQueue mutex (state,
  * timestamps) or exclusively by the dispatcher while Running (outputs,
- * exec, error); clients must read them only after poll()/wait()
+ * bounds, error); clients must read them only after poll()/wait()
  * reports completion.
  */
 struct Request
@@ -215,22 +212,15 @@ struct Request
     /**
      * Coalescing and sharding key: requests with the same key (and
      * mode) may share one batched evaluation and live in one dispatch
-     * shard.  Circuit sessions use the cached lowering pointer
-     * (structural fingerprint identity via pc::cachedLowering);
-     * program sessions use their private session state, so Listing-1
-     * batches never coalesce across sessions.
+     * shard.  Sessions use their lowering pointer (structural
+     * fingerprint identity via pc::cachedLowering).
      */
     const void *groupKey = nullptr;
     ReasonMode mode = REASON_MODE_PROBABILISTIC;
-    /**
-     * Stateful execution: the shard admits one in-flight group at a
-     * time (program sessions mutate accelerator state).
-     */
-    bool exclusive = false;
-    /** Owning session; keeps the lowering / accelerator alive. */
+    /** Owning session; keeps the lowering alive. */
     std::shared_ptr<SessionState> session;
 
-    /** Circuit-mode payload: one assignment per requested row. */
+    /** One assignment per requested row. */
     std::vector<pc::Assignment> rows;
     /**
      * Approximate tier (REASON_MODE_APPROX): the accuracy budget the
@@ -239,23 +229,16 @@ struct Request
      * with an evaluator built for exactly this budget.
      */
     double accuracyBudget = 0.0;
-    /** Program-mode payload: row-major inputs, batchSize rows. */
-    std::vector<double> inputs;
-    int batchSize = 0;
 
-    /** One output per row: log-likelihoods (circuit) or root values. */
+    /** One output per row: log-likelihoods. */
     std::vector<double> outputs;
     /**
      * Approximate tier: certified per-row interval endpoints,
      * boundLo[r] <= exact log-likelihood of row r <= boundHi[r].
-     * Empty for exact-tier and program requests.
+     * Empty for exact-tier requests.
      */
     std::vector<double> boundLo;
     std::vector<double> boundHi;
-    /** Program mode: execution result of the final row. */
-    arch::ExecutionResult exec;
-    /** Program mode: simulated cycles summed over the batch rows. */
-    uint64_t execCycles = 0;
     /** REASON_OK or a ReasonError; final once state is Done. */
     int error = REASON_OK;
 
@@ -286,17 +269,16 @@ struct Request
     /** Optional completion callback (see CompletionCallback). */
     CompletionCallback onDone;
 
-    /** Rows requested (either payload kind). */
-    size_t numRows() const
-    {
-        return rows.empty() ? size_t(batchSize) : rows.size();
-    }
     /** Enqueue-to-completion latency; meaningful once Done. */
     uint64_t latencyNs() const { return completedNs - enqueuedNs; }
 };
 
-/** Counters accumulated by the queue since engine construction. */
-struct QueueStats
+/**
+ * Serving statistics of an engine (ReasonEngine::stats): a snapshot of
+ * counters that are monotone since construction, plus the means and
+ * percentiles derived from them.
+ */
+struct EngineStats
 {
     /** Requests admitted (excludes validation and RejectNew rejects). */
     uint64_t requests = 0;
@@ -304,14 +286,6 @@ struct QueueStats
     uint64_t rows = 0;
     /** Coalesced groups handed to dispatchers. */
     uint64_t batches = 0;
-    /** Rows across those groups (batchedRows / batches = occupancy). */
-    uint64_t batchedRows = 0;
-    /** Deepest pending-request count observed at admission time. */
-    uint64_t maxQueueDepth = 0;
-    /** Sum of enqueue-to-start times over executed requests. */
-    uint64_t totalQueueNs = 0;
-    /** Sum of enqueue-to-completion times over executed requests. */
-    uint64_t totalLatencyNs = 0;
     /** Requests completed (including shutdown/overload failures). */
     uint64_t completed = 0;
     /**
@@ -321,6 +295,14 @@ struct QueueStats
      * in `completed` only, so overload cannot bias the means low.
      */
     uint64_t executed = 0;
+    /** Mean rows per dispatched batch (the occupancy statistic). */
+    double meanBatchOccupancy = 0.0;
+    /** Deepest pending-request count observed at admission time. */
+    uint64_t maxQueueDepth = 0;
+    /** Mean enqueue-to-dispatch wait over executed requests (ms). */
+    double meanQueueMs = 0.0;
+    /** Mean enqueue-to-completion latency over executed requests (ms). */
+    double meanLatencyMs = 0.0;
     /** Requests completed with REASON_ERR_OVERLOAD (both policies). */
     uint64_t shedRequests = 0;
     /**
@@ -332,24 +314,17 @@ struct QueueStats
     uint64_t expired = 0;
     /** Requests completed with REASON_ERR_CANCELLED (client cancel). */
     uint64_t cancelled = 0;
-
-    /** Latency percentiles over executed requests (reservoir sample). */
+    /**
+     * Latency percentiles over executed requests, from a fixed-size
+     * reservoir sample — the same estimate bench_eval reports.
+     */
     double p50LatencyMs = 0.0;
     double p99LatencyMs = 0.0;
-
-    /** Autotuning state snapshot (zero until enough traffic). */
+    /** Linger-autotune telemetry (EWMAs; zero until enough traffic). */
     double ewmaInterArrivalUs = 0.0;
     double ewmaExecUs = 0.0;
     /** Most recent effective linger window a pop used. */
     double lastLingerUs = 0.0;
-
-    /** Mean rows per coalesced batch (the occupancy statistic). */
-    double
-    meanBatchOccupancy() const
-    {
-        return batches == 0 ? 0.0
-                            : double(batchedRows) / double(batches);
-    }
 };
 
 /** Latency samples kept for the p50/p99 estimate (Algorithm R). */
@@ -393,9 +368,7 @@ class RequestQueue
                                                    unsigned lingerUs);
 
     /**
-     * Mark an executed group Done and release its waiters.  For
-     * exclusive shards this also re-opens the shard for the next
-     * group.
+     * Mark an executed group Done and release its waiters.
      */
     void complete(const std::vector<std::shared_ptr<Request>> &group);
 
@@ -452,7 +425,7 @@ class RequestQueue
     /** Resume dispatching after pause(). */
     void resume();
 
-    QueueStats stats() const;
+    EngineStats stats() const;
 
   private:
     /** One session's FIFO of queued requests within a shard. */
@@ -470,9 +443,7 @@ class RequestQueue
         size_t cursor = 0;
         /** Queued requests across all lanes. */
         size_t pendingRequests = 0;
-        /** Program shard: one in-flight group at a time. */
-        bool exclusive = false;
-        /** A dispatcher holds this shard (gather/linger/exclusive). */
+        /** A dispatcher holds this shard (gather/linger). */
         bool inService = false;
         /** Shard is queued in ready_. */
         bool inReady = false;
@@ -557,7 +528,15 @@ class RequestQueue
     /** Done requests whose callbacks have not run yet. */
     std::vector<std::shared_ptr<Request>> pendingCallbacks_;
 
-    QueueStats stats_;
+    /** Counters; stats() derives the means and percentiles. */
+    EngineStats stats_;
+    /** Rows across dispatched groups (batchedRows_ / batches =
+     *  occupancy). */
+    uint64_t batchedRows_ = 0;
+    /** Sum of enqueue-to-start times over executed requests. */
+    uint64_t totalQueueNs_ = 0;
+    /** Sum of enqueue-to-completion times over executed requests. */
+    uint64_t totalLatencyNs_ = 0;
 
     /** EWMA state for linger autotuning (nanoseconds). */
     uint64_t lastArrivalNs_ = 0;

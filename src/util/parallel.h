@@ -127,7 +127,7 @@ ThreadPool &globalThreadPool();
 
 /**
  * Set the worker count of the global pool (the `--threads` knob of the
- * CLI, bench_eval, and sys::ReasonRuntime).  `n == 0` restores the
+ * CLI and bench_eval).  `n == 0` restores the
  * hardware-concurrency default.  Recreates the pool; call at startup or
  * between evaluation phases, never while a parallelFor is in flight.
  */

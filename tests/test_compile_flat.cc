@@ -18,9 +18,9 @@
  * checks evidence queries against conditionalMarginal, fingerprint
  * stability across routes (pc/flat_cache interop), and end-to-end
  * serving of compiled knowledge bases through ReasonEngine sessions
- * across coalescing shapes.  Committed `.nnf` fixtures — including a
- * generated >100k-node file — exercise the streaming loader against
- * on-disk inputs.
+ * across coalescing shapes.  Committed `.nnf` fixtures exercise the
+ * streaming loader against on-disk inputs, and a >100k-node input
+ * generated in memory exercises it at scale.
  */
 
 #include <gtest/gtest.h>
@@ -42,7 +42,6 @@
 #include "pc/flat_pc.h"
 #include "pc/from_logic.h"
 #include "sys/engine.h"
-#include "sys/reason_api.h"
 #include "util/rng.h"
 
 namespace reason {
@@ -388,13 +387,45 @@ TEST(CompileFlat, SmallFixturesAgreeAcrossRoutes)
     }
 }
 
+#endif // REASON_NNF_FIXTURE_DIR
+
+/**
+ * A c2d-format input of 100,240 nodes: 20 variables, their 40
+ * literals, then 33,400 XNOR gadgets.  Gadget t (i = t mod 20) is
+ * (x_i AND x_{i+1}) OR (NOT x_i AND NOT x_{i+1}), indices mod 20.
+ */
+std::string
+xnorChainNnf()
+{
+    constexpr uint32_t kVars = 20;
+    constexpr uint32_t kGadgets = 33400;
+    std::ostringstream out;
+    out << "nnf " << 2 * kVars + 3 * kGadgets << ' ' << 6 * kGadgets
+        << ' ' << kVars << '\n';
+    for (uint32_t v = 1; v <= kVars; ++v)
+        out << "L " << v << '\n';
+    for (uint32_t v = 1; v <= kVars; ++v)
+        out << "L -" << v << '\n';
+    for (uint32_t t = 0; t < kGadgets; ++t) {
+        const uint32_t i = t % kVars;
+        const uint32_t j = (i + 1) % kVars;
+        const uint32_t id = 2 * kVars + 3 * t;
+        out << "A 2 " << i << ' ' << j << '\n'
+            << "A 2 " << kVars + i << ' ' << kVars + j << '\n'
+            << "O " << i + 1 << " 2 " << id << ' ' << id + 1 << '\n';
+    }
+    return out.str();
+}
+
 TEST(CompileFlat, StreamsHundredThousandNodeFixture)
 {
-    // The streaming loader's reason to exist: a file larger than any
+    // The streaming loader's reason to exist: an input larger than any
     // in-memory Dag the tests otherwise build.  Parse it twice and
-    // check node count, WMC agreement with the Dag route, and
-    // fingerprint identity across repeated loads.
-    std::string text = readFixture("big_xnor_chain.nnf");
+    // check node count and fingerprint identity across repeated loads.
+    // No gadget feeds another, so only the last one is reachable from
+    // the root: the WMC agreement with the Dag route covers that one
+    // gadget.
+    std::string text = xnorChainNnf();
     LitWeights w = LitWeights::uniform(20);
 
     std::istringstream in1(text);
@@ -416,8 +447,6 @@ TEST(CompileFlat, StreamsHundredThousandNodeFixture)
     EXPECT_EQ(structuralFingerprint(first),
               structuralFingerprint(second));
 }
-
-#endif // REASON_NNF_FIXTURE_DIR
 
 } // namespace
 } // namespace pc

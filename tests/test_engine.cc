@@ -9,9 +9,9 @@
  *  - concurrent multi-session submit/wait from several client threads
  *    (the TSan target for the queue/dispatcher synchronization);
  *  - poll-vs-wait equivalence;
- *  - program sessions bit-identical to sequential REASON_execute;
- *  - the Listing-1 compat shim: equality with the pre-redesign
- *    ReasonRuntime behavior and the documented distinct error codes;
+ *  - the Listing-1 runtime: equality with the pre-redesign
+ *    ReasonRuntime behavior (aliased buffers included) and the
+ *    documented distinct error codes;
  *  - queue behavior: pause/resume occupancy, shutdown failure of
  *    still-queued requests, cross-circuit group separation;
  *  - completion callbacks: exactly once on every terminal path, on a
@@ -325,73 +325,6 @@ TEST(EngineConcurrent, MultiSessionSubmitWait)
 }
 
 // ---------------------------------------------------------------------------
-// Program (Listing-1) sessions.
-// ---------------------------------------------------------------------------
-
-TEST(EngineProgram, TwoSessionsBitIdenticalToSequentialExecute)
-{
-    Rng rng(109);
-    core::Dag dag = testutil::randomDag(rng, 4, 24, 3);
-    arch::ArchConfig cfg;
-    compiler::Program prog =
-        compiler::compile(dag, cfg.compilerTarget());
-
-    constexpr int kBatches = 6;
-    constexpr int kBatchSize = 3;
-    std::vector<std::vector<double>> neural(kBatches);
-    for (int q = 0; q < kBatches; ++q)
-        for (int b = 0; b < kBatchSize; ++b) {
-            auto x = testutil::randomInputs(rng, 4);
-            neural[q].insert(neural[q].end(), x.begin(), x.end());
-        }
-
-    // Pre-redesign oracle: sequential REASON_execute through the
-    // Listing-1 shim, one runtime per logical tenant.
-    std::vector<std::vector<double>> expected(kBatches,
-                                              std::vector<double>(
-                                                  kBatchSize, 0.0));
-    {
-        ReasonRuntime rt(cfg, prog);
-        for (int q = 0; q < kBatches; ++q)
-            ASSERT_EQ(rt.REASON_execute(q, kBatchSize,
-                                        neural[q].data(), nullptr,
-                                        expected[q].data()),
-                      REASON_OK);
-    }
-
-    // Engine: two program sessions served concurrently.
-    ReasonEngine engine;
-    Session s[2] = {engine.createSession(cfg, prog),
-                    engine.createSession(cfg, prog)};
-    std::vector<std::vector<double>> got(2);
-    std::vector<std::thread> clients;
-    for (int c = 0; c < 2; ++c) {
-        clients.emplace_back([&, c] {
-            std::vector<RequestHandle> handles;
-            for (int q = c; q < kBatches; q += 2)
-                handles.push_back(s[c].submitProgram(
-                    kBatchSize, neural[q].data(),
-                    REASON_MODE_PROBABILISTIC));
-            for (RequestHandle &h : handles) {
-                std::shared_ptr<const Request> r = s[c].wait(h);
-                ASSERT_EQ(r->error, REASON_OK);
-                got[c].insert(got[c].end(), r->outputs.begin(),
-                              r->outputs.end());
-                EXPECT_GT(r->execCycles, 0u);
-            }
-        });
-    }
-    for (std::thread &t : clients)
-        t.join();
-
-    for (int q = 0; q < kBatches; ++q)
-        for (int b = 0; b < kBatchSize; ++b)
-            EXPECT_TRUE(bitEqual(got[q % 2][(q / 2) * kBatchSize + b],
-                                 expected[q][b]))
-                << "batch " << q << " row " << b;
-}
-
-// ---------------------------------------------------------------------------
 // Submission validation and lifecycle errors.
 // ---------------------------------------------------------------------------
 
@@ -399,32 +332,14 @@ TEST(EngineErrors, DistinctSubmissionErrorCodes)
 {
     Rng rng(110);
     pc::Circuit circuit = pc::randomCircuit(rng, 8, 2, 3, 4);
-    core::Dag dag = testutil::randomDag(rng, 3, 10, 3);
-    arch::ArchConfig cfg;
-    compiler::Program prog =
-        compiler::compile(dag, cfg.compilerTarget());
 
     ReasonEngine engine;
     Session circuit_session = engine.createSession(circuit);
-    Session program_session = engine.createSession(cfg, prog);
-    std::vector<double> buf(8, 0.5);
 
     // Empty batch.
     RequestHandle h = circuit_session.submitBatch({});
     EXPECT_TRUE(circuit_session.poll(h));
     EXPECT_EQ(h.error(), REASON_ERR_BAD_BATCH);
-    EXPECT_EQ(program_session.submitProgram(0, buf.data(), 0).error(),
-              REASON_ERR_BAD_BATCH);
-
-    // Null buffer.
-    EXPECT_EQ(program_session.submitProgram(1, nullptr, 0).error(),
-              REASON_ERR_NULL_BUFFER);
-
-    // Unknown reasoning mode.
-    EXPECT_EQ(program_session.submitProgram(1, buf.data(), 7).error(),
-              REASON_ERR_BAD_MODE);
-    EXPECT_EQ(program_session.submitProgram(1, buf.data(), -1).error(),
-              REASON_ERR_BAD_MODE);
 
     // Assignment shape violations.
     EXPECT_EQ(circuit_session.submit(pc::Assignment{0, 1}).error(),
@@ -434,12 +349,7 @@ TEST(EngineErrors, DistinctSubmissionErrorCodes)
     EXPECT_EQ(circuit_session.submit(bad).error(),
               REASON_ERR_BAD_ASSIGNMENT);
 
-    // Kind mismatch: circuit submits on a program session and vice
-    // versa, plus submits through a default-constructed session.
-    EXPECT_EQ(program_session.submit(pc::Assignment(8, 0)).error(),
-              REASON_ERR_WRONG_SESSION);
-    EXPECT_EQ(circuit_session.submitProgram(1, buf.data(), 0).error(),
-              REASON_ERR_WRONG_SESSION);
+    // Submits through a default-constructed session.
     Session invalid;
     EXPECT_EQ(invalid.submit(pc::Assignment(8, 0)).error(),
               REASON_ERR_WRONG_SESSION);
@@ -485,7 +395,7 @@ TEST(EngineErrors, ShutdownFailsQueuedRequests)
 }
 
 // ---------------------------------------------------------------------------
-// Listing-1 compatibility shim.
+// Listing-1 runtime (sys/reason_api.h).
 // ---------------------------------------------------------------------------
 
 TEST(CompatShim, MatchesPreRedesignRuntimeOnSeedWorkload)
@@ -544,6 +454,16 @@ TEST(CompatShim, MatchesPreRedesignRuntimeOnSeedWorkload)
     EXPECT_FALSE(rt.sharedMemory().neuralReady);
     EXPECT_EQ(rt.sharedMemory().symbolicBuffer.size(),
               size_t(kBatchSize));
+
+    // One buffer as both the neural and the symbolic argument: every
+    // row is read before its output lands in the buffer.
+    ReasonRuntime aliased_rt(cfg, prog);
+    std::vector<double> shared = neural;
+    ASSERT_EQ(aliased_rt.REASON_execute(3, kBatchSize, shared.data(),
+                                        &mode, shared.data()),
+              REASON_OK);
+    for (int b = 0; b < kBatchSize; ++b)
+        EXPECT_TRUE(bitEqual(shared[b], symbolic[b])) << b;
 }
 
 TEST(CompatShim, DistinctErrorCodes)
@@ -579,30 +499,6 @@ TEST(CompatShim, DistinctErrorCodes)
     EXPECT_EQ(rt.REASON_execute(7, 1, buf.data(), &mode, buf.data()),
               REASON_ERR_DUPLICATE_BATCH);
     EXPECT_EQ(rt.results().size(), 1u);
-}
-
-TEST(CompatShim, RuntimeOptionsServingKnobsAccepted)
-{
-    Rng rng(114);
-    core::Dag dag = testutil::randomDag(rng, 3, 12, 3);
-    arch::ArchConfig cfg;
-    compiler::Program prog =
-        compiler::compile(dag, cfg.compilerTarget());
-
-    RuntimeOptions options;
-    options.maxBatch = 8;
-    options.maxCoalesceWindowUs = 50;
-    options.serveThreads = 2;
-    ReasonRuntime rt(cfg, prog, options);
-    EXPECT_EQ(rt.engine().options().maxBatch, 8u);
-    EXPECT_EQ(rt.engine().options().maxCoalesceWindowUs, 50u);
-
-    std::vector<double> neural = testutil::randomInputs(rng, 3);
-    std::vector<double> symbolic(1, 0.0);
-    EXPECT_EQ(rt.REASON_execute(1, 1, neural.data(), nullptr,
-                                symbolic.data()),
-              REASON_OK);
-    EXPECT_DOUBLE_EQ(symbolic[0], dag.evaluateRoot(neural));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 /**
  * @file
- * System-layer tests: the Listing-1 programming interface state machine,
- * the two-level pipeline composition math (Sec. VI-C), and the
- * cross-platform symbolic-cost ordering behind Fig. 11.
+ * System-layer tests: the Listing-1 programming interface state machine
+ * (which runs on the caller's thread), the two-level pipeline
+ * composition math (Sec. VI-C), and the cross-platform symbolic-cost
+ * ordering behind Fig. 11.
  */
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <system_error>
 
 #include "compiler/compile.h"
 #include "dag_test_util.h"
@@ -17,6 +21,18 @@ using namespace reason;
 using namespace reason::sys;
 
 namespace {
+
+/** Live threads of this process (0 where /proc is unavailable). */
+size_t
+threadCount()
+{
+    std::error_code ec;
+    size_t n = 0;
+    for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+         !ec && it != end; it.increment(ec))
+        ++n;
+    return n;
+}
 
 workloads::SymbolicOps
 sampleOps()
@@ -94,6 +110,23 @@ TEST(ReasonApi, RejectsBadArguments)
     EXPECT_LT(rt.REASON_execute(0, 1, nullptr, nullptr, buf.data()), 0);
     // Status of an unknown batch is IDLE.
     EXPECT_EQ(rt.REASON_check_status(99, false), REASON_IDLE);
+}
+
+TEST(ReasonApi, RuntimeStartsNoThreads)
+{
+    const size_t before = threadCount();
+    ASSERT_GT(before, 0u) << "/proc/self/task is unreadable";
+    Rng rng(15);
+    core::Dag dag = testutil::randomDag(rng, 3, 10, 3);
+    arch::ArchConfig cfg;
+    ReasonRuntime rt(cfg, compiler::compile(dag, cfg.compilerTarget()));
+    std::vector<double> neural = testutil::randomInputs(rng, 3);
+    std::vector<double> symbolic(1, 0.0);
+    ASSERT_EQ(rt.REASON_execute(0, 1, neural.data(), nullptr,
+                                symbolic.data()),
+              REASON_OK);
+    // Listing 1 runs on the caller's thread.
+    EXPECT_EQ(threadCount(), before);
 }
 
 TEST(Pipeline, OverlapHidesShorterStage)

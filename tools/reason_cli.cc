@@ -40,28 +40,27 @@
  *       budget runs the approximate tier (pc::ApproxEvaluator) and
  *       prints each certified [lo, hi] bound next to the value.
  *
- *   serve <file.rpc> [--requests N] [--clients N] [--max-batch N]
- *         [--window-us N] [--serve-threads N] [--dispatchers N]
- *         [--capacity N] [--policy reject|shed] [--auto-window]
- *         [--pin] [--seed N] [--listen PORT] [--max-budget X]
- *         [--fault-plan SPEC] [--idle-timeout-ms N] [--drain-ms N]
- *       Serve likelihood queries against a stored circuit through the
- *       async batch-serving engine (sys::ReasonEngine): N client
- *       threads submit sampled queries through their own sessions, the
- *       engine coalesces them into batched SoA evaluations, and the
- *       run reports throughput, latency percentiles, batch occupancy,
- *       and shed counts.  With --listen the command instead serves the
+ *   serve <file.rpc> [--listen PORT] [--max-batch N] [--window-us N]
+ *         [--serve-threads N] [--dispatchers N] [--capacity N]
+ *         [--policy reject|shed] [--auto-window] [--pin]
+ *         [--max-budget X] [--fault-plan SPEC] [--idle-timeout-ms N]
+ *         [--drain-ms N]
+ *       Serve likelihood queries against a stored circuit over the
  *       length-prefixed binary wire protocol (sys/wire.h, v3) on a
- *       loopback TCP socket through sys::SocketServer — one poll()
- *       loop pipelining every connection's Submits into the engine,
- *       one engine session per connection, idempotent-retry duplicate
- *       suppression, Ping/Pong heartbeats — until SIGINT/SIGTERM
- *       triggers a graceful drain (--drain-ms deadline; exit 0 iff
- *       clean) whose summary line reports rows per batch and mean
- *       queue and execution times.  --fault-plan (or the
- *       REASON_FAULT_PLAN environment variable) installs a
- *       deterministic fault-injection schedule (sys/fault.h) for
- *       resilience testing.
+ *       loopback TCP socket (--listen 0, the default, binds an
+ *       ephemeral port; the `listening on` line reports it).
+ *       sys::SocketServer runs one poll() loop that pipelines every
+ *       connection's Submits into the async batch-serving engine
+ *       (sys::ReasonEngine), which coalesces them into batched SoA
+ *       evaluations: one engine session per connection,
+ *       idempotent-retry duplicate suppression, Ping/Pong heartbeats.
+ *       It serves until SIGINT/SIGTERM triggers a graceful drain
+ *       (--drain-ms deadline; exit 0 iff clean) whose summary line
+ *       reports rows per batch and mean queue and execution times.
+ *       --fault-plan (or the REASON_FAULT_PLAN environment variable)
+ *       installs a deterministic fault-injection schedule
+ *       (sys/fault.h) for resilience testing.  `bench-client` is its
+ *       load generator.
  *
  *   bench-client <file.rpc> --port N [--host H] [--requests N]
  *         [--clients N] [--pipeline N] [--seed N] [--budget X]
@@ -163,11 +162,10 @@ usage()
         "      [--out f.rpc]\n"
         "  query <file.rpc> [--budget X] [--rows N] [--seed N]\n"
         "      [--missing-pct N]\n"
-        "  serve <file.rpc> [--requests N] [--clients N]\n"
-        "      [--max-batch N] [--window-us N] [--serve-threads N]\n"
-        "      [--dispatchers N] [--capacity N] [--policy reject|shed]\n"
-        "      [--auto-window] [--pin] [--seed N] [--listen PORT]\n"
-        "      [--max-budget X] [--fault-plan SPEC]\n"
+        "  serve <file.rpc> [--listen PORT] [--max-batch N]\n"
+        "      [--window-us N] [--serve-threads N] [--dispatchers N]\n"
+        "      [--capacity N] [--policy reject|shed] [--auto-window]\n"
+        "      [--pin] [--max-budget X] [--fault-plan SPEC]\n"
         "      [--idle-timeout-ms N] [--drain-ms N]\n"
         "  bench-client <file.rpc> --port N [--host H] [--requests N]\n"
         "      [--clients N] [--pipeline N] [--seed N] [--budget X]\n"
@@ -812,10 +810,9 @@ handleStopSignal(int)
 }
 
 /**
- * `serve --listen`: run the reusable socket front-end
- * (sys::SocketServer) on loopback TCP.  Prints the bound address
- * (port 0 resolves to an ephemeral port) before accepting, so scripts
- * can wait for readiness.  SIGINT/SIGTERM trigger a graceful drain:
+ * `serve`: run the reusable socket front-end (sys::SocketServer) on
+ * loopback TCP.  Prints the bound address (port 0 resolves to an
+ * ephemeral port) before accepting, so scripts can wait for readiness.  SIGINT/SIGTERM trigger a graceful drain:
  * admission closes, queued work finishes within --drain-ms, the rest
  * expires, every in-flight answer is flushed (within a second
  * --drain-ms), and the exit code says whether the drain was clean.
@@ -1111,8 +1108,6 @@ cmdBenchClient(const std::vector<std::string> &args)
 int
 cmdServe(const std::vector<std::string> &args)
 {
-    uint64_t requests = 2000;
-    uint64_t clients = 2;
     uint64_t max_batch = 64;
     uint64_t window_us = 0;
     uint64_t serve_threads = 1;
@@ -1122,8 +1117,6 @@ cmdServe(const std::vector<std::string> &args)
     bool auto_window = false;
     bool pin_threads = false;
     uint64_t listen_port = 0;
-    bool listen_set = false;
-    uint64_t seed = 1;
     uint64_t idle_timeout_ms = 0;
     uint64_t drain_ms = 5000;
     std::string fault_spec;
@@ -1131,10 +1124,9 @@ cmdServe(const std::vector<std::string> &args)
     // non-negative finite values, so any explicit --max-budget caps.
     double max_budget = -1.0;
     std::vector<CliOption> options = {
-        countOpt("--requests", 1, uint64_t(1) << 30, &requests,
-                 "total queries submitted across clients"),
-        countOpt("--clients", 1, 256, &clients,
-                 "client threads, one engine session each"),
+        countOpt("--listen", 0, 65535, &listen_port,
+                 "loopback TCP port (default 0: an ephemeral port, "
+                 "printed on the `listening on` line)"),
         countOpt("--max-batch", 1, 1u << 20, &max_batch,
                  "most rows per coalesced evaluation"),
         countOpt("--window-us", 0, 1u << 30, &window_us,
@@ -1152,13 +1144,9 @@ cmdServe(const std::vector<std::string> &args)
                 "autotune the linger window from arrival/exec EWMAs"),
         flagOpt("--pin", &pin_threads,
                 "pin dispatcher and eval threads to cores"),
-        countOpt("--listen", 0, 65535, &listen_port,
-                 "serve the binary wire protocol on loopback TCP"),
         realOpt("--max-budget", &max_budget,
                 "largest accuracy budget accepted over the wire "
                 "(default: uncapped)"),
-        countOpt("--seed", 0, ~uint64_t(0), &seed,
-                 "query sampling RNG seed"),
         textOpt("--fault-plan", &fault_spec,
                 "deterministic fault-injection spec, e.g. "
                 "seed=7,reset=0.01,torn=0.02,short=0.1 (also read "
@@ -1180,8 +1168,6 @@ cmdServe(const std::vector<std::string> &args)
                      policy_text.c_str());
         return usage();
     }
-    for (const std::string &a : args)
-        listen_set = listen_set || a == "--listen";
 
     pc::Circuit circuit = loadCircuit(args[0]);
     std::printf("circuit: %zu nodes, %zu edges, %u vars\n",
@@ -1218,113 +1204,13 @@ cmdServe(const std::vector<std::string> &args)
         }
     }
 
-    if (listen_set) {
 #if REASON_HAS_SOCKETS
-        return runServeSocket(circuit, serve, max_budget,
-                              uint16_t(listen_port),
-                              unsigned(idle_timeout_ms),
-                              drain_ms * 1'000'000ull);
+    return runServeSocket(circuit, serve, max_budget,
+                          uint16_t(listen_port), unsigned(idle_timeout_ms),
+                          drain_ms * 1'000'000ull);
 #else
-        fatal("serve --listen requires POSIX sockets (unavailable on "
-              "this platform)");
+    fatal("serve requires POSIX sockets (unavailable on this platform)");
 #endif
-    }
-
-    Rng rng(seed);
-    std::vector<pc::Assignment> queries =
-        pc::sampleDataset(rng, circuit, size_t(requests));
-
-    sys::ReasonEngine engine(serve);
-
-    std::vector<sys::Session> sessions;
-    for (uint64_t c = 0; c < clients; ++c)
-        sessions.push_back(engine.createSession(circuit));
-
-    std::printf("serve: %zu requests, %llu client(s), maxBatch %llu, "
-                "window %llu us, %llu eval worker(s), %llu "
-                "dispatcher(s), capacity %llu (%s)\n",
-                queries.size(), (unsigned long long)clients,
-                (unsigned long long)max_batch,
-                (unsigned long long)window_us,
-                (unsigned long long)serve_threads,
-                (unsigned long long)dispatchers,
-                (unsigned long long)capacity, policy_text.c_str());
-
-    // Each client submits its slice asynchronously, then waits — the
-    // backlog is what the engine coalesces across sessions.  Overload
-    // shedding is an expected outcome under a bounded queue, not a
-    // failure.
-    std::vector<std::vector<uint64_t>> latencies(clients);
-    std::vector<std::vector<double>> lls(clients);
-    std::atomic<uint64_t> shed{0};
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> workers;
-    for (uint64_t c = 0; c < clients; ++c) {
-        workers.emplace_back([&, c] {
-            sys::Session &session = sessions[c];
-            std::vector<sys::RequestHandle> handles;
-            for (size_t q = c; q < queries.size(); q += clients)
-                handles.push_back(session.submit(queries[q]));
-            for (sys::RequestHandle &h : handles) {
-                std::shared_ptr<const sys::Request> r = session.wait(h);
-                if (r->error == sys::REASON_ERR_OVERLOAD) {
-                    shed.fetch_add(1, std::memory_order_relaxed);
-                    continue;
-                }
-                if (r->error != sys::REASON_OK)
-                    fatal("request %llu failed with error %d",
-                          (unsigned long long)h.id(), r->error);
-                latencies[c].push_back(r->latencyNs());
-                lls[c].push_back(r->outputs[0]);
-            }
-        });
-    }
-    for (std::thread &w : workers)
-        w.join();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-
-    std::vector<uint64_t> all_lat;
-    double ll_sum = 0.0;
-    for (uint64_t c = 0; c < clients; ++c) {
-        all_lat.insert(all_lat.end(), latencies[c].begin(),
-                       latencies[c].end());
-        for (double ll : lls[c])
-            ll_sum += ll;
-    }
-    std::sort(all_lat.begin(), all_lat.end());
-    auto percentile = [&](double p) {
-        if (all_lat.empty())
-            return 0.0;
-        const size_t idx = std::min(
-            all_lat.size() - 1,
-            size_t(p * double(all_lat.size())));
-        return double(all_lat[idx]) * 1e-6;
-    };
-
-    const sys::EngineStats stats = engine.stats();
-    std::printf("served %zu/%zu requests in %.3f ms: %.1f req/s "
-                "(%llu shed)\n",
-                all_lat.size(), queries.size(), wall_ms,
-                double(queries.size()) / (wall_ms * 1e-3),
-                (unsigned long long)shed.load());
-    std::printf("latency: p50 %.3f ms, p99 %.3f ms, mean %.3f ms "
-                "(engine reservoir p50 %.3f ms, p99 %.3f ms)\n",
-                percentile(0.50), percentile(0.99),
-                stats.meanLatencyMs, stats.p50LatencyMs,
-                stats.p99LatencyMs);
-    std::printf("batching: %llu batches, mean occupancy %.2f rows, "
-                "max queue depth %llu, last linger %.1f us\n",
-                (unsigned long long)stats.batches,
-                stats.meanBatchOccupancy,
-                (unsigned long long)stats.maxQueueDepth,
-                stats.lastLingerUs);
-    if (!all_lat.empty())
-        std::printf("mean served log-likelihood: %.9f\n",
-                    ll_sum / double(all_lat.size()));
-    return 0;
 }
 
 } // namespace
