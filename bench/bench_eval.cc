@@ -68,6 +68,7 @@
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/simd.h"
+#include "util/simd_dispatch.h"
 
 using namespace reason;
 using Clock = std::chrono::steady_clock;
@@ -142,47 +143,66 @@ bitsDiffer(double x, double y)
 // the outputs must match the SIMD kernels bit for bit.
 // ---------------------------------------------------------------------------
 
-/** One sum-layer logsumexp block (8 lanes, SoA terms), scalar lanes.
- *  Every loop carries the per-loop pragma too: on clang the function
- *  attribute alone does not exist, so loop-level disabling is what
- *  keeps the reference honest there. */
+/**
+ * The sums of a slot program, one scalar lane at a time: the same
+ * exponent-tracked linear arithmetic as simd::linearSum and the
+ * output logs of simd::runSlotProgram (max exponent, 2^d assembled
+ * from bits and flushed below 2^-1022, edge-order fold, renormalize,
+ * one log per output).  `p` holds only sum ops over pre-filled input
+ * slots.  Every loop carries the per-loop pragma too: on clang the
+ * function attribute alone does not exist, so loop-level disabling is
+ * what keeps the reference honest there.
+ */
 REASON_NOVECTORIZE void
-sumKernelScalarRef(const double *terms, size_t fanin, double *out)
+slotSumsScalarRef(const simd::SlotProgram &p, double *slots, double *out)
 {
     constexpr size_t B = simd::kLanes;
+    constexpr size_t S = simd::SlotProgram::kSlotDoubles;
+    const uint32_t *operand = p.operand;
+    const double *wm = p.weightMant;
+    const int32_t *we = p.weightExp;
     REASON_NOVECTORIZE_LOOP
-    for (size_t b = 0; b < B; ++b) {
-        double hi = reason::kLogZero;
+    for (size_t i = 0; i < p.numOps; ++i) {
+        const size_t fanin = p.arg[i];
+        double *dst =
+            slots + size_t(p.op[i] & simd::SlotProgram::kSlotMask) * S;
         REASON_NOVECTORIZE_LOOP
-        for (size_t e = 0; e < fanin; ++e) {
-            const double t = terms[e * B + b];
-            hi = t > hi ? t : hi;
+        for (size_t b = 0; b < B; ++b) {
+            double top = reason::kLogZero;
+            REASON_NOVECTORIZE_LOOP
+            for (size_t k = 0; k < fanin; ++k) {
+                const double t =
+                    double(we[k]) + slots[size_t(operand[k]) * S + B + b];
+                top = t > top ? t : top;
+            }
+            const double base = top == reason::kLogZero ? 0.0 : top;
+            double acc = 0.0;
+            REASON_NOVECTORIZE_LOOP
+            for (size_t k = 0; k < fanin; ++k) {
+                const double *c = slots + size_t(operand[k]) * S;
+                double d = double(we[k]) + c[B + b] - base;
+                d = d > -1023.0 ? d : -1023.0;
+                const double scale = std::bit_cast<double>(
+                    uint64_t(int64_t(d) + 1023) << 52);
+                acc += (wm[k] * c[b]) * scale;
+            }
+            const uint64_t biased = std::bit_cast<uint64_t>(acc) >> 52;
+            dst[b] = acc * std::bit_cast<double>((2046 - biased) << 52);
+            dst[B + b] = top + (double(biased) - 1023.0);
         }
-        if (hi == reason::kLogZero) {
-            out[b] = reason::kLogZero;
-            continue;
-        }
-        double acc = 0.0;
-        REASON_NOVECTORIZE_LOOP
-        for (size_t e = 0; e < fanin; ++e) {
-            const double t = terms[e * B + b];
-            if (t != reason::kLogZero)
-                acc += fastExpNonPositive(t - hi);
-        }
-        out[b] = hi + simd::fastLogPositive(acc);
+        operand += fanin;
+        wm += fanin;
+        we += fanin;
     }
-}
-
-/** The same block through the production kernel itself
- *  (simd::sumLayerBlock — the one pc::CircuitEvaluator ships). */
-void
-sumKernelSimd(const double *terms, size_t fanin, double *scratch,
-              double *out)
-{
-    constexpr size_t B = simd::kLanes;
-    simd::store(out, simd::sumLayerBlock(fanin, scratch, [&](size_t e) {
-                    return simd::load(terms + e * B);
-                }));
+    REASON_NOVECTORIZE_LOOP
+    for (size_t o = 0; o < p.numOutputs; ++o) {
+        const double *c = slots + size_t(p.output[o]) * S;
+        REASON_NOVECTORIZE_LOOP
+        for (size_t b = 0; b < B; ++b)
+            out[o * B + b] = c[b] == 0.0
+                                 ? reason::kLogZero
+                                 : simd::fastLogMantExp(c[b], c[B + b]);
+    }
 }
 
 /** The seed scalar forward recurrence, vectorizer off: the reference
@@ -550,44 +570,89 @@ main(int argc, char **argv)
 
     // --- SIMD sum-layer kernel vs forced-scalar reference ---------------
     {
-        // Synthetic sum-layer blocks exercising exactly the canonical
-        // two-pass logsumexp kernel (max scan, masked exp-accumulate,
-        // vectorized log) against the bit-exact scalar-lane reference
-        // with the auto-vectorizer disabled.  Outputs must match
-        // bitwise; the SIMD build must clear >= 1.5x (the gate is
-        // waived when the build itself is the scalar fallback).
+        // The sum step that ships: a slot program of kNodes fan-in-16
+        // sums over pre-filled input slots, run by the dispatched
+        // kernel (simd::runSlotProgram, the one pc::CircuitEvaluator
+        // calls) against the bit-exact scalar-lane reference of the
+        // same linear-domain arithmetic with the auto-vectorizer
+        // disabled.  Outputs (one log per sum and lane) must match
+        // bitwise; the SIMD kernel must clear >= 1.5x (the gate is
+        // waived when the dispatched kernel is the scalar fallback).
         constexpr size_t kNodes = 2048;
         constexpr size_t kFanIn = 16;
+        constexpr size_t kInputs = 256;
         constexpr size_t B = simd::kLanes;
+        constexpr size_t S = simd::SlotProgram::kSlotDoubles;
         const size_t kernel_rounds = std::max<size_t>(reps / 20, 10);
-        std::vector<double> terms(kNodes * kFanIn * B);
+        std::vector<double> inputs(kInputs * S);
+        std::vector<uint32_t> ops(kNodes), args(kNodes, kFanIn),
+            outs(kNodes), operands(kNodes * kFanIn);
+        std::vector<double> wmant(kNodes * kFanIn);
+        std::vector<int32_t> wexp(kNodes * kFanIn);
         {
             Rng krng(77);
-            for (double &t : terms) {
-                t = -60.0 * krng.uniform01();
-                if (krng.uniform01() < 0.05)
-                    t = kLogZero; // masked term lanes
+            for (size_t slot = 0; slot < kInputs; ++slot)
+                for (size_t b = 0; b < B; ++b) {
+                    double m = 1.0 + krng.uniform01() * 0.999;
+                    double e = std::floor(-90.0 * krng.uniform01());
+                    if (krng.uniform01() < 0.05) {
+                        m = 0.0; // zero-mass lanes
+                        e = kLogZero;
+                    }
+                    inputs[slot * S + b] = m;
+                    inputs[slot * S + B + b] = e;
+                }
+            // A few dead lanes: every operand of one sum is zero there.
+            for (size_t b = 0; b < B; ++b) {
+                inputs[b] = 0.0;
+                inputs[B + b] = kLogZero;
             }
-            // A few dead blocks (every term -inf in a lane).
-            for (size_t node = 0; node < kNodes; node += 97)
-                for (size_t e = 0; e < kFanIn; ++e)
-                    terms[(node * kFanIn + e) * B] = kLogZero;
+            for (size_t node = 0; node < kNodes; ++node) {
+                ops[node] = simd::SlotProgram::kSum
+                                << simd::SlotProgram::kKindShift |
+                            uint32_t(kInputs + node);
+                outs[node] = uint32_t(kInputs + node);
+                for (size_t e = 0; e < kFanIn; ++e) {
+                    const size_t k = node * kFanIn + e;
+                    operands[k] =
+                        node % 97 == 0
+                            ? 0
+                            : uint32_t(krng.uniformInt(0, kInputs - 1));
+                    wmant[k] = 1.0 + krng.uniform01() * 0.999;
+                    wexp[k] = int32_t(krng.uniformInt(-40, 0));
+                }
+            }
         }
+        simd::SlotProgram prog;
+        prog.op = ops.data();
+        prog.arg = args.data();
+        prog.numOps = kNodes;
+        prog.operand = operands.data();
+        prog.weightMant = wmant.data();
+        prog.weightExp = wexp.data();
+        prog.output = outs.data();
+        prog.numOutputs = kNodes;
+        prog.numSlots = kInputs + kNodes;
+        std::vector<double> slots_scalar((kInputs + kNodes) * S);
+        std::vector<double> slots_simd((kInputs + kNodes) * S);
+        std::copy(inputs.begin(), inputs.end(), slots_scalar.begin());
+        std::copy(inputs.begin(), inputs.end(), slots_simd.begin());
         std::vector<double> out_scalar(kNodes * B);
         std::vector<double> out_simd(kNodes * B);
-        std::vector<double> simd_scratch(kFanIn * B);
+        const uint32_t no_row = 0;
+        const uint32_t *rows[B];
+        for (size_t b = 0; b < B; ++b)
+            rows[b] = &no_row; // no leaf ops: rows are never read
+        const simd::KernelTable &kernels = simd::activeKernels();
         // Warm both paths once, then take the best of three timed
         // rounds each (robust against scheduler noise on CI hosts).
         auto run_scalar = [&] {
-            for (size_t n = 0; n < kNodes; ++n)
-                sumKernelScalarRef(terms.data() + n * kFanIn * B,
-                                   kFanIn, out_scalar.data() + n * B);
+            slotSumsScalarRef(prog, slots_scalar.data(),
+                              out_scalar.data());
         };
         auto run_simd = [&] {
-            for (size_t n = 0; n < kNodes; ++n)
-                sumKernelSimd(terms.data() + n * kFanIn * B, kFanIn,
-                              simd_scratch.data(),
-                              out_simd.data() + n * B);
+            kernels.runSlotProgram(prog, rows, slots_simd.data(),
+                                   out_simd.data());
         };
         run_scalar();
         run_simd();
@@ -626,7 +691,7 @@ main(int argc, char **argv)
 
         const double kernel_speedup = scalar_ms / simd_ms;
         const bool is_scalar_build =
-            std::strcmp(simd::isaName(), "scalar") == 0;
+            std::strcmp(kernels.isa, "scalar") == 0;
         const bool below_target =
             !is_scalar_build && kernel_speedup < 1.5;
         std::printf("BENCH_JSON {\"bench\":\"bench_eval\",\"engine\":"
@@ -640,14 +705,14 @@ main(int argc, char **argv)
         std::printf("kernel_logsumexp (%s): scalar %.3f ms, simd "
                     "%.3f ms: %.2fx %s (target >=1.5x unless scalar "
                     "build), %zu bitwise mismatches\n",
-                    simd::isaName(), scalar_ms, simd_ms, kernel_speedup,
+                    kernels.isa, scalar_ms, simd_ms, kernel_speedup,
                     below_target ? "BELOW TARGET" : "PASS", mismatches);
         bitwise_failures += mismatches;
         if (below_target) {
             std::fprintf(stderr,
                          "bench_eval: kernel_logsumexp %.2fx below the "
                          "1.5x SIMD target on a %s build\n",
-                         kernel_speedup, simd::isaName());
+                         kernel_speedup, kernels.isa);
             ++bitwise_failures;
         }
     }

@@ -291,8 +291,12 @@ prune(const FlatCircuit &flat, double budget)
     }
     out.lowerRoot = remap[flat.root];
     c.root = out.lowerRoot + (reach[flat.root] == kDiffers);
-    // Only CircuitEvaluator runs this circuit: no parent transpose.
-    c.finalizeUpwardTopology();
+    // Only root passes run this circuit: no parent transpose, and one
+    // program that reports both endpoints.
+    if (c.root == out.lowerRoot)
+        c.finalizeUpwardTopology();
+    else
+        c.finalizeUpwardTopology({out.lowerRoot, c.root});
     return out;
 }
 
@@ -326,8 +330,10 @@ ApproxEvaluator::result(double lo, double hi) const
 ApproxResult
 ApproxEvaluator::query(const Assignment &x)
 {
-    const std::span<const double> v = pruned_->eval.evaluate(x);
-    return result(v[lowerRoot_], v[upperRoot_]);
+    // The program's outputs are (lower, upper), or the one root.
+    double v[2];
+    pruned_->eval.evaluateOutputs(x, v);
+    return result(v[0], v[upperRoot_ != lowerRoot_ ? 1 : 0]);
 }
 
 void
@@ -335,31 +341,12 @@ ApproxEvaluator::queryBatch(const std::vector<Assignment> &xs,
                             std::vector<ApproxResult> &out)
 {
     out.resize(xs.size());
-    // A batch smaller than one SIMD block would pay for a whole padded
-    // block per root; the per-row walk costs less, reads both roots in
-    // one pass and, by CircuitEvaluator's contract, yields the same
-    // bits.
-    if (xs.size() < CircuitEvaluator::kBlock) {
-        for (size_t i = 0; i < xs.size(); ++i)
-            out[i] = query(xs[i]);
-        return;
-    }
-    // The block kernel reports the circuit's root only: one pass per
-    // endpoint, pointing the root at the lower one for the first.
-    FlatCircuit &circuit = pruned_->flat;
-    CircuitEvaluator &eval = pruned_->eval;
-    batchLo_.resize(xs.size());
-    circuit.root = lowerRoot_;
-    eval.logLikelihoodBatch(xs, batchLo_);
-    circuit.root = upperRoot_;
-    if (upperRoot_ != lowerRoot_) {
-        batchHi_.resize(xs.size());
-        eval.logLikelihoodBatch(xs, batchHi_);
-    }
-    const std::vector<double> &hi =
-        upperRoot_ != lowerRoot_ ? batchHi_ : batchLo_;
+    // One root pass yields both endpoints of every row.
+    const size_t outs = upperRoot_ != lowerRoot_ ? 2 : 1;
+    batch_.resize(xs.size() * outs);
+    pruned_->eval.evaluateOutputsBatch(xs, batch_);
     for (size_t i = 0; i < xs.size(); ++i)
-        out[i] = result(batchLo_[i], hi[i]);
+        out[i] = result(batch_[i * outs], batch_[i * outs + outs - 1]);
 }
 
 } // namespace pc

@@ -33,10 +33,10 @@
  *        to the sentinel whose log-weight is the rest bound.  The copy
  *        of the root is the upper root and the circuit's root.
  *
- *    CircuitEvaluator runs it: a single row (and every row of a batch
- *    below one SIMD block) in one per-row pass that yields both
- *    roots, larger batches in one 8-row block pass per root.  The
- *    endpoints are padded by a tiny relative slack.  The reported
+ *    The emitted circuit's slot program reports both endpoints, so
+ *    one root pass of CircuitEvaluator (evaluateOutputs for a row,
+ *    evaluateOutputsBatch for a batch) yields both.  The endpoints are
+ *    padded by a tiny relative slack.  The reported
  *    interval **always contains the exact answer** — the
  *    differential harness (tests/test_approx.cc) enforces zero
  *    violations over the random-circuit corpus.  With budget 0 only
@@ -51,8 +51,8 @@
  * so results are bit-identical however rows are batched or served.
  *
  * **Thread-safety.**  One ApproxEvaluator serves one caller at a
- * time (evaluator scratch, and the batch path re-points its private
- * circuit's root); the referenced FlatCircuit must outlive it.
+ * time (evaluator scratch); the referenced FlatCircuit must outlive
+ * it.
  * Concurrent callers each take their own evaluator over the shared
  * FlatCircuit, and each evaluator its own pool (or a 1-worker pool),
  * as the engine's dispatchers do: the default pool is the shared
@@ -125,11 +125,9 @@ class ApproxEvaluator
     ApproxResult query(const Assignment &x);
 
     /**
-     * Batched interval queries: one result per row.  Batches of at
-     * least CircuitEvaluator::kBlock rows run its SIMD block kernel,
-     * smaller ones the per-row walk; either way every row is
-     * bit-identical to a standalone query() — the coalescing contract
-     * of the serving engine.
+     * Batched interval queries: one result per row, from one root pass
+     * over the batch.  Every row is bit-identical to a standalone
+     * query() — the coalescing contract of the serving engine.
      */
     void queryBatch(const std::vector<Assignment> &xs,
                     std::vector<ApproxResult> &out);
@@ -152,8 +150,7 @@ class ApproxEvaluator
 
   private:
     /** The emitted circuit and its evaluator, at a stable address
-     *  (the evaluator references the circuit).  The circuit is
-     *  private, so the batch path may re-point its root. */
+     *  (the evaluator references the circuit). */
     struct Pruned
     {
         Pruned(FlatCircuit circuit, util::ThreadPool *pool)
@@ -176,9 +173,8 @@ class ApproxEvaluator
     size_t keptNodes_ = 0;
     size_t keptEdges_ = 0;
     bool exact_ = true;
-    /** Per-row batch scratch of the two endpoints. */
-    std::vector<double> batchLo_;
-    std::vector<double> batchHi_;
+    /** Per-row batch scratch: the program outputs, row-major. */
+    std::vector<double> batch_;
 };
 
 } // namespace pc

@@ -65,8 +65,163 @@ FlatCircuit::FlatCircuit(const Circuit &circuit)
     finalizeTopology();
 }
 
+namespace {
+
+/** Program-derivation marks of a node: not read by any kept op, or an
+ *  output (never freed).  Other values are the id of the last reader. */
+constexpr uint32_t kUnread = ~0u;
+constexpr uint32_t kOutput = ~0u - 1;
+
+/** Per-node derivation state, side by side: a parent's operand visit
+ *  reads both halves with one cache miss. */
+struct NodeMark
+{
+    uint32_t lastReader = kUnread;
+    uint32_t slot = 0;
+};
+
+/**
+ * Split n log values into (mantissa, exponent) pairs, 8 lanes at a
+ * time (simd::expSplit), handing each to sink(k, log value, mantissa,
+ * exponent).  A sink may overwrite x[k]: each pack is loaded before
+ * its pairs are handed out.
+ */
+template <typename Sink>
 void
-FlatCircuit::finalizeUpwardTopology()
+splitLogs(const double *x, size_t n, Sink &&sink)
+{
+    constexpr size_t B = simd::kLanes;
+    double mb[B], eb[B];
+    for (size_t i = 0; i < n; i += B) {
+        const size_t k = std::min(B, n - i);
+        const simd::Pack v =
+            k == B ? simd::load(x + i) : simd::loadN(x + i, k, 0.0);
+        simd::Pack m, e;
+        simd::expSplit(v, m, e);
+        simd::store(mb, m);
+        simd::store(eb, e);
+        for (size_t j = 0; j < k; ++j)
+            sink(i + j, x[i + j], mb[j], eb[j]);
+    }
+}
+
+/**
+ * Derive the root-pass slot program for `outputs` (see
+ * FlatCircuit::RootProgram).  Two linear passes over one O(nodes)
+ * temporary: a reverse id walk marks what the outputs reach and,
+ * since the first reader it meets is the highest id, each value's last
+ * reader; a forward walk then emits the ops, takes each destination
+ * from the free list, and returns an operand's slot once its last
+ * reader has consumed it (before the reader's own slot is taken: the
+ * kernel reads every operand before it writes).
+ */
+FlatCircuit::RootProgram
+deriveProgram(const FlatCircuit &flat, std::vector<uint32_t> outputs)
+{
+    const size_t n = flat.numNodes();
+    const uint8_t *types = flat.types.data();
+    const uint32_t *off = flat.edgeOffset.data();
+    const uint32_t *tgt = flat.edgeTarget.data();
+    const double *lw = flat.edgeLogWeight.data();
+
+    std::vector<NodeMark> mark(n);
+    for (uint32_t o : outputs) {
+        reasonAssert(o < n, "program output out of range");
+        mark[o].lastReader = kOutput;
+    }
+    size_t num_ops = 0, num_operands = 0, num_weights = 0;
+    for (size_t i = n; i-- > 0;) {
+        if (mark[i].lastReader == kUnread)
+            continue;
+        ++num_ops;
+        const bool sum = types[i] == FlatCircuit::kSum;
+        for (uint32_t e = off[i]; e < off[i + 1]; ++e) {
+            if (sum && lw[e] == kLogZero)
+                continue; // massless: adds an exact 0
+            ++num_operands;
+            num_weights += sum;
+            const uint32_t c = tgt[e];
+            reasonAssert(c < i, "children must precede their parents");
+            if (mark[c].lastReader == kUnread)
+                mark[c].lastReader = uint32_t(i);
+        }
+    }
+
+    FlatCircuit::RootProgram prog;
+    prog.op.resize(num_ops);
+    prog.arg.resize(num_ops);
+    prog.operand.resize(num_operands);
+    prog.weightMant.resize(num_weights);
+    std::vector<uint32_t> free_slots;
+    size_t op = 0, k = 0, w = 0;
+    for (size_t i = 0; i < n; ++i) {
+        if (mark[i].lastReader == kUnread)
+            continue;
+        uint32_t arg = 0;
+        uint32_t kind = simd::SlotProgram::kLeaf;
+        if (types[i] == FlatCircuit::kLeaf) {
+            arg = flat.leafSlot[i];
+        } else {
+            const bool sum = types[i] == FlatCircuit::kSum;
+            kind = sum ? simd::SlotProgram::kSum
+                       : simd::SlotProgram::kProduct;
+            for (uint32_t e = off[i]; e < off[i + 1]; ++e) {
+                if (sum && lw[e] == kLogZero)
+                    continue;
+                NodeMark &child = mark[tgt[e]];
+                prog.operand[k++] = child.slot;
+                ++arg;
+                if (sum)
+                    prog.weightMant[w++] = lw[e]; // split below
+                if (child.lastReader == uint32_t(i)) {
+                    free_slots.push_back(child.slot);
+                    child.lastReader = kUnread; // freed once
+                }
+            }
+        }
+        uint32_t dst = prog.numSlots;
+        if (free_slots.empty()) {
+            reasonAssert(prog.numSlots < simd::SlotProgram::kSlotMask,
+                         "slot program too wide");
+            ++prog.numSlots;
+        } else {
+            dst = free_slots.back();
+            free_slots.pop_back();
+        }
+        mark[i].slot = dst;
+        prog.op[op] = kind << simd::SlotProgram::kKindShift | dst;
+        prog.arg[op++] = arg;
+    }
+    prog.outputSlot.reserve(outputs.size());
+    for (uint32_t o : outputs)
+        prog.outputSlot.push_back(mark[o].slot);
+    prog.outputs = std::move(outputs);
+
+    prog.weightExp.resize(num_weights);
+    splitLogs(prog.weightMant.data(), num_weights,
+              [&](size_t j, double x, double m, double e) {
+                  reasonAssert(std::fabs(x) < 1e9,
+                               "edge log-weight out of range");
+                  prog.weightMant[j] = m;
+                  prog.weightExp[j] = int32_t(e);
+              });
+    const std::vector<double> &dist = flat.leafLogDist;
+    prog.leafPair.resize(2 * dist.size());
+    splitLogs(dist.data(), dist.size(),
+              [&](size_t j, double x, double m, double e) {
+                  const bool zero = x == kLogZero;
+                  reasonAssert(zero || std::fabs(x) < 1e9,
+                               "leaf log-probability out of range");
+                  prog.leafPair[2 * j] = zero ? 0.0 : m;
+                  prog.leafPair[2 * j + 1] = zero ? kLogZero : e;
+              });
+    return prog;
+}
+
+} // namespace
+
+void
+FlatCircuit::finalizeUpwardTopology(std::vector<uint32_t> outputs)
 {
     reasonAssert(root != kInvalidNode, "circuit has no root");
     const size_t n = types.size();
@@ -83,6 +238,30 @@ FlatCircuit::finalizeUpwardTopology()
     maxFanIn = 0;
     for (size_t i = 0; i < n; ++i)
         maxFanIn = std::max(maxFanIn, edgeOffset[i + 1] - edgeOffset[i]);
+
+    if (outputs.empty())
+        outputs.push_back(root);
+    program = deriveProgram(*this, std::move(outputs));
+}
+
+simd::SlotProgram
+FlatCircuit::programView() const
+{
+    simd::SlotProgram view;
+    view.op = program.op.data();
+    view.arg = program.arg.data();
+    view.numOps = program.op.size();
+    view.operand = program.operand.data();
+    view.weightMant = program.weightMant.data();
+    view.weightExp = program.weightExp.data();
+    view.leafVar = leafVar.data();
+    view.leafPair = program.leafPair.data();
+    view.arity = arity;
+    view.missing = kMissing;
+    view.output = program.outputSlot.data();
+    view.numOutputs = program.outputSlot.size();
+    view.numSlots = program.numSlots;
+    return view;
 }
 
 void
@@ -95,29 +274,25 @@ FlatCircuit::finalizeTopology()
     // gathers fold each node's incoming contributions in this fixed
     // order, making flow/derivative sums deterministic by construction.
     const size_t m = edgeTarget.size();
-    edgeSource.resize(m);
     parentOffset.assign(n + 1, 0);
     for (size_t i = 0; i < n; ++i)
-        for (uint32_t e = edgeOffset[i]; e < edgeOffset[i + 1]; ++e) {
-            edgeSource[e] = uint32_t(i);
+        for (uint32_t e = edgeOffset[i]; e < edgeOffset[i + 1]; ++e)
             ++parentOffset[edgeTarget[e] + 1];
-        }
     for (size_t i = 1; i <= n; ++i)
         parentOffset[i] += parentOffset[i - 1];
     parentEdge.resize(m);
+    parentNode.resize(m);
+    parentLogWeight.resize(m);
     {
         std::vector<uint32_t> cursor(parentOffset.begin(),
                                      parentOffset.end() - 1);
         for (size_t i = n; i-- > 0;)
-            for (uint32_t e = edgeOffset[i]; e < edgeOffset[i + 1]; ++e)
-                parentEdge[cursor[edgeTarget[e]]++] = e;
-    }
-
-    parentNode.resize(m);
-    parentLogWeight.resize(m);
-    for (size_t k = 0; k < m; ++k) {
-        parentNode[k] = edgeSource[parentEdge[k]];
-        parentLogWeight[k] = edgeLogWeight[parentEdge[k]];
+            for (uint32_t e = edgeOffset[i]; e < edgeOffset[i + 1]; ++e) {
+                const uint32_t k = cursor[edgeTarget[e]]++;
+                parentEdge[k] = e;
+                parentNode[k] = uint32_t(i);
+                parentLogWeight[k] = edgeLogWeight[e];
+            }
     }
 
     maxParentFanIn = 0;
@@ -129,12 +304,9 @@ FlatCircuit::finalizeTopology()
 namespace {
 
 /**
- * Evaluate one circuit node into val[i] — the canonical sum-layer
- * kernel at lane count 1.  The expressions and accumulation order are
- * exactly one lane of the blocked SIMD kernel (evaluateBlock), so a
- * single-assignment walk, a full SoA block, and a masked tail block
- * all produce bit-identical values for the same row.  Shared by the
- * serial id-order walk and the parallel wavefront walk.
+ * Evaluate one circuit node into val[i] in the log domain — evaluate()'s
+ * per-node kernel, shared by the serial id-order walk and the parallel
+ * wavefront walk, so both give the same bits.
  */
 inline void
 evalCircuitNode(const FlatCircuit &flat, const Assignment &x, double *val,
@@ -170,8 +342,7 @@ evalCircuitNode(const FlatCircuit &flat, const Assignment &x, double *val,
         // Two-pass log-sum-exp: one max scan, then exp-accumulate
         // against the max (one log per *node* instead of one
         // log1p+exp per *edge*).  -inf terms are exact additive
-        // identities — skipped, never clamped — matching the masked
-        // SIMD lanes of the blocked kernel term for term.
+        // identities — skipped, never clamped.
         const uint32_t lo = off[i];
         const uint32_t hi_e = off[i + 1];
         double hi = kLogZero;
@@ -201,10 +372,8 @@ evalCircuitNode(const FlatCircuit &flat, const Assignment &x, double *val,
 
 CircuitEvaluator::CircuitEvaluator(const FlatCircuit &flat,
                                    util::ThreadPool *pool)
-    : flat_(flat), pool_(pool), logv_(flat.numNodes(), kLogZero),
-      maxFanIn_(flat.maxFanIn)
+    : flat_(flat), pool_(pool)
 {
-    terms_.resize(std::max<size_t>(maxFanIn_, 1), 0.0);
 }
 
 util::ThreadPool &
@@ -232,6 +401,11 @@ CircuitEvaluator::evaluate(const Assignment &x)
     reasonAssert(x.size() >= flat_.numVars, "assignment too short");
     const size_t n = flat_.numNodes();
     util::ThreadPool &pool = activePool();
+    const size_t stripe = std::max<size_t>(flat_.maxFanIn, 1);
+    if (logv_.size() != n)
+        logv_.assign(n, kLogZero);
+    if (terms_.size() < stripe * pool.numThreads())
+        terms_.resize(stripe * pool.numThreads(), 0.0);
     if (pool.numThreads() == 1) {
         double *val = logv_.data();
         for (size_t i = 0; i < n; ++i)
@@ -242,9 +416,6 @@ CircuitEvaluator::evaluate(const Assignment &x)
     // Wavefront execution over the level schedule: one writer per node
     // value, per-worker term scratch, unchanged per-node expressions —
     // bit-identical to the serial walk for any thread count.
-    const size_t stripe = std::max<size_t>(maxFanIn_, 1);
-    if (terms_.size() < stripe * pool.numThreads())
-        terms_.resize(stripe * pool.numThreads(), 0.0);
     for (size_t l = 0; l < flat_.numLevels(); ++l) {
         pool.parallelFor(
             flat_.levelOffset[l], flat_.levelOffset[l + 1],
@@ -260,138 +431,90 @@ CircuitEvaluator::evaluate(const Assignment &x)
 double
 CircuitEvaluator::logLikelihood(const Assignment &x)
 {
-    return evaluate(x)[flat_.root];
+    reasonAssert(flat_.program.outputs.size() == 1 &&
+                     flat_.program.outputs[0] == flat_.root,
+                 "logLikelihood needs a program whose output is the root");
+    double out = 0.0;
+    runRootPass(&x, 1, &out);
+    return out;
 }
 
 void
 CircuitEvaluator::logLikelihoodBatch(const std::vector<Assignment> &xs,
                                      std::span<double> out)
 {
+    reasonAssert(flat_.program.outputs.size() == 1 &&
+                     flat_.program.outputs[0] == flat_.root,
+                 "logLikelihood needs a program whose output is the root");
     reasonAssert(out.size() >= xs.size(), "batch output buffer too small");
-    for (const Assignment &x : xs)
-        reasonAssert(x.size() >= flat_.numVars, "assignment too short");
-    if (xs.empty())
-        return;
-    util::ThreadPool &pool = activePool();
-    const unsigned threads = pool.numThreads();
-    // Every row — including a trailing partial block — goes through
-    // the same SIMD block kernel: tail lanes replicate the last row
-    // and are not stored, so each row's result is independent of the
-    // batch shape (bit-identical to a single-row evaluate()).
-    const size_t num_blocks = (xs.size() + kBlock - 1) / kBlock;
-    const size_t val_size = flat_.numNodes() * kBlock;
-    const size_t term_size = std::max<size_t>(maxFanIn_, 1) * kBlock;
-    const unsigned buffers =
-        threads > 1 && num_blocks > 1
-            ? unsigned(std::min<size_t>(threads, num_blocks))
-            : 1;
-    if (blockVal_.size() < buffers) {
-        blockVal_.resize(buffers);
-        blockTerms_.resize(buffers);
-    }
-    for (unsigned w = 0; w < buffers; ++w) {
-        if (blockVal_[w].empty()) {
-            blockVal_[w].assign(val_size, 0.0);
-            blockTerms_[w].assign(term_size, 0.0);
-        }
-    }
-    // Block-parallel: each worker streams a contiguous run of
-    // kBlock-row blocks through its own SoA buffers.  Blocks are
-    // computed identically regardless of which worker runs them.
-    pool.parallelFor(
-        0, num_blocks, 1,
-        [&](size_t b, size_t e, unsigned worker) {
-            const Assignment *rows[kBlock];
-            for (size_t blk = b; blk < e; ++blk) {
-                const size_t base = blk * kBlock;
-                const size_t n = std::min(kBlock, xs.size() - base);
-                for (size_t i = 0; i < kBlock; ++i)
-                    rows[i] = &xs[base + (i < n ? i : n - 1)];
-                evaluateBlock(rows, n, &out[base],
-                              blockVal_[worker].data(),
-                              blockTerms_[worker].data());
-            }
-        });
+    if (!xs.empty())
+        runRootPass(xs.data(), xs.size(), out.data());
 }
 
 void
-CircuitEvaluator::evaluateBlock(const Assignment *const *rows, size_t n_out,
-                                double *out, double *block_val,
-                                double *block_terms)
+CircuitEvaluator::evaluateOutputs(const Assignment &x, std::span<double> out)
+{
+    reasonAssert(out.size() >= flat_.program.outputs.size(),
+                 "output buffer too small");
+    runRootPass(&x, 1, out.data());
+}
+
+void
+CircuitEvaluator::evaluateOutputsBatch(const std::vector<Assignment> &xs,
+                                       std::span<double> out)
+{
+    reasonAssert(out.size() >= xs.size() * flat_.program.outputs.size(),
+                 "batch output buffer too small");
+    if (!xs.empty())
+        runRootPass(xs.data(), xs.size(), out.data());
+}
+
+void
+CircuitEvaluator::runRootPass(const Assignment *xs, size_t num_rows,
+                              double *out)
 {
     constexpr size_t B = kBlock;
-    static_assert(B == simd::kLanes, "SoA block width is one SIMD pack");
-    double *val = block_val;
-    double *terms = block_terms;
-    const uint8_t *types = flat_.types.data();
-    const uint32_t *off = flat_.edgeOffset.data();
-    const uint32_t *tgt = flat_.edgeTarget.data();
-    const double *lw = flat_.edgeLogWeight.data();
-    const uint32_t *slot = flat_.leafSlot.data();
-    const uint32_t *var = flat_.leafVar.data();
-    const double *dist = flat_.leafLogDist.data();
-    const uint32_t arity = flat_.arity;
-    const size_t n = flat_.numNodes();
-
-    const simd::Pack zero = simd::splat(0.0);
+    static_assert(B == simd::kLanes, "a block is one SIMD pack of rows");
+    for (size_t r = 0; r < num_rows; ++r)
+        reasonAssert(xs[r].size() >= flat_.numVars, "assignment too short");
+    const simd::SlotProgram view = flat_.programView();
     // Runtime-selected kernels: the widest table the host CPU can run
-    // (util/simd_dispatch.h).  Bit-identical to the compile-time
-    // backend by the simd.h contract; hoisted once per block so the
-    // per-node cost is a single indirect call.
+    // (util/simd_dispatch.h); every table gives the same bits.
     const simd::KernelTable &kernels = simd::activeKernels();
 
-    for (size_t i = 0; i < n; ++i) {
-        double *vi = val + i * B;
-        switch (types[i]) {
-          case FlatCircuit::kLeaf: {
-            // Leaf scoring gathers one table entry per row; the rows
-            // are distinct assignments, so this stays a scalar gather.
-            const uint32_t s = slot[i];
-            const uint32_t v_idx = var[s];
-            const double *row_dist = dist + size_t(s) * arity;
-            for (size_t b = 0; b < B; ++b) {
-                const uint32_t v = (*rows[b])[v_idx];
-                if (v == kMissing) {
-                    vi[b] = 0.0; // marginalized: sums to 1
-                } else {
-                    reasonAssert(v < arity,
-                                 "assignment value out of range");
-                    vi[b] = row_dist[v];
-                }
+    const size_t outs = view.numOutputs;
+    const size_t slot_doubles = view.numSlots * simd::SlotProgram::kSlotDoubles;
+    const size_t stride = slot_doubles + outs * B;
+    const size_t num_blocks = (num_rows + B - 1) / B;
+    util::ThreadPool &pool = activePool();
+    const unsigned threads = pool.numThreads();
+    const size_t buffers =
+        threads > 1 && num_blocks > 1 ? std::min<size_t>(threads, num_blocks)
+                                      : 1;
+    if (slots_.size() < buffers * stride)
+        slots_.resize(buffers * stride);
+    // Block-parallel: each worker streams a contiguous run of blocks
+    // through its own slots.  A tail block repeats its last row in the
+    // spare lanes and stores only the live ones; lanes never interact,
+    // so a block computes each row identically whoever runs it.
+    pool.parallelFor(
+        0, num_blocks, 1, [&](size_t b, size_t e, unsigned worker) {
+            double *slots = slots_.data() + worker * stride;
+            double *vals = slots + slot_doubles;
+            const uint32_t *rows[B];
+            for (size_t blk = b; blk < e; ++blk) {
+                const size_t base = blk * B;
+                const size_t n = std::min(B, num_rows - base);
+                for (size_t i = 0; i < B; ++i)
+                    rows[i] = xs[base + (i < n ? i : n - 1)].data();
+                const bool in_range =
+                    kernels.runSlotProgram(view, rows, slots, vals);
+                reasonAssert(in_range, "assignment value out of range");
+                for (size_t i = 0; i < n; ++i)
+                    for (size_t o = 0; o < outs; ++o)
+                        out[(base + i) * outs + o] = vals[o * B + i];
             }
-            break;
-          }
-          case FlatCircuit::kProduct: {
-            simd::Pack acc = zero;
-            for (uint32_t e = off[i]; e < off[i + 1]; ++e)
-                acc = simd::add(
-                    acc, simd::load(val + size_t(tgt[e]) * B));
-            simd::store(vi, acc);
-            break;
-          }
-          case FlatCircuit::kSum: {
-            // The canonical two-pass logsumexp kernel across the 8
-            // row lanes: terms (edge log-weight + child SoA row) are
-            // staged into the scratch block, then reduced by the
-            // runtime-dispatched sumLayerBlockStaged — the same
-            // staged shape simd::sumLayerBlock lowers to.
-            const uint32_t lo = off[i];
-            const uint32_t hi_e = off[i + 1];
-            const size_t fanin = hi_e - lo;
-            for (size_t e = 0; e < fanin; ++e)
-                simd::store(
-                    terms + e * B,
-                    simd::add(
-                        simd::splat(lw[lo + e]),
-                        simd::load(val + size_t(tgt[lo + e]) * B)));
-            kernels.sumLayerBlockStaged(fanin, terms, vi);
-            break;
-          }
-        }
-    }
-    const double *root_val = val + size_t(flat_.root) * B;
-    for (size_t b = 0; b < n_out; ++b)
-        out[b] = root_val[b];
+        });
 }
 
 namespace {

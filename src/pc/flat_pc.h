@@ -9,7 +9,8 @@
  * likelihoods over a dataset, EM flows, entropy estimates, marginal
  * sweeps — pays that per sample.  `FlatCircuit` lowers the circuit once
  * into contiguous arrays with *pre-computed* edge log-weights and leaf
- * log-distributions; `CircuitEvaluator` and `FlowAccumulator` then run
+ * log-distributions, plus a compiled slot program for root-only
+ * passes; `CircuitEvaluator` and `FlowAccumulator` then run
  * upward/downward passes over reusable scratch, allocation-free, with
  * the hot inner loops expressed over the 8-lane SIMD layer
  * (util/simd.h) — one canonical kernel per pass, bit-identical across
@@ -27,6 +28,10 @@
 #include "util/parallel.h"
 
 namespace reason {
+namespace simd {
+struct SlotProgram;
+} // namespace simd
+
 namespace pc {
 
 /**
@@ -42,7 +47,10 @@ namespace pc {
  *    edge ids arriving from its parents in *descending parent order*,
  *    plus flattened per-slot streams (parentNode, parentLogWeight), so
  *    the downward passes gather flows/derivatives with one writer per
- *    node, contiguous loads, and a deterministic fold order.
+ *    node, contiguous loads, and a deterministic fold order;
+ *  - a **root-pass slot program** (RootProgram), the compiled form of
+ *    the upward pass that logLikelihood, logLikelihoodBatch and the
+ *    approximate tier run.
  *
  * FlatCircuit is immutable after construction and safe for concurrent
  * unsynchronized reads; many evaluators may share one instance.
@@ -64,21 +72,23 @@ class FlatCircuit
     FlatCircuit() = default;
 
     /**
-     * Derive the level schedule, parent transpose, and fan-in bounds
-     * from the filled CSR arrays.  Identical to the tail of the
-     * Circuit constructor, so a directly-built circuit is
+     * Derive the level schedule, root-pass program, parent transpose,
+     * and fan-in bounds from the filled CSR arrays.  Identical to the
+     * tail of the Circuit constructor, so a directly-built circuit is
      * indistinguishable from a lowered one.  Requires a valid root and
      * topological (child-before-parent) node order.
      */
     void finalizeTopology();
 
     /**
-     * The upward half of finalizeTopology(): the level schedule and
-     * maxFanIn, but no parent transpose (20 bytes per edge and 4 per
-     * node).  Enough for CircuitEvaluator; the downward passes
-     * (FlowAccumulator, logDerivativesInto) reject such a circuit.
+     * The upward half of finalizeTopology(): the level schedule,
+     * maxFanIn and the root-pass program, but no parent transpose (16
+     * bytes per edge and 4 per node).  Enough for CircuitEvaluator; the
+     * downward passes (FlowAccumulator, logDerivativesInto) reject such
+     * a circuit.  `outputs` lists the nodes the program reports, in
+     * order; empty selects {root}.
      */
-    void finalizeUpwardTopology();
+    void finalizeUpwardTopology(std::vector<uint32_t> outputs = {});
 
     size_t numNodes() const { return types.size(); }
     size_t numEdges() const { return edgeTarget.size(); }
@@ -115,14 +125,52 @@ class FlatCircuit
     std::vector<uint32_t> parentOffset;
     /** Forward edge ids into each node, descending parent order. */
     std::vector<uint32_t> parentEdge;
-    /** Source (parent) node of each forward edge. */
-    std::vector<uint32_t> edgeSource;
     /** Flattened transpose streams, aligned with parentEdge, so the
      *  gather passes stream contiguously instead of double-indirecting:
-     *  parentNode[k] == edgeSource[parentEdge[k]],
-     *  parentLogWeight[k] == edgeLogWeight[parentEdge[k]]. */
+     *  parentNode[k] is the node whose CSR edge range holds
+     *  parentEdge[k], and parentLogWeight[k] ==
+     *  edgeLogWeight[parentEdge[k]]. */
     std::vector<uint32_t> parentNode;
     std::vector<double> parentLogWeight;
+
+    /**
+     * The root-pass slot program (simd::SlotProgram holds the kernel's
+     * view of it), derived by finalizeUpwardTopology():
+     *
+     *  - ops are the nodes reachable from the outputs over
+     *    mass-bearing edges, in id order (a zero-weight sum edge adds
+     *    an exact 0, so it and whatever only it reaches are dropped);
+     *  - each op's value gets a slot from a free list, and the slot is
+     *    freed after the value's last reader, so the live set, not the
+     *    node count, sizes an evaluator's scratch;
+     *  - operands are slots, and weights and leaf tables are split
+     *    into (mantissa, exponent) pairs for the linear-domain kernel.
+     */
+    struct RootProgram
+    {
+        /** Per op: kind << 30 | destination slot. */
+        std::vector<uint32_t> op;
+        /** Per op: operand count, or the leaf slot of a leaf. */
+        std::vector<uint32_t> arg;
+        /** Operand slots of every sum and product, in op order. */
+        std::vector<uint32_t> operand;
+        /** Per sum operand, in op order: weight mantissa in [1, 2)
+         *  and exponent. */
+        std::vector<double> weightMant;
+        std::vector<int32_t> weightExp;
+        /** (mantissa, exponent) of every leaf table entry, at
+         *  [2 * (leaf slot * arity + value)]; zero mass is (0, -inf). */
+        std::vector<double> leafPair;
+        /** Output node ids, and the slots that hold them. */
+        std::vector<uint32_t> outputs;
+        std::vector<uint32_t> outputSlot;
+        uint32_t numSlots = 0;
+    };
+    RootProgram program;
+
+    /** The kernel's plain-array view of `program`, over this circuit's
+     *  leaf variables (include util/simd.h to use it). */
+    simd::SlotProgram programView() const;
 
     uint32_t numVars = 0;
     uint32_t arity = 0;
@@ -141,26 +189,33 @@ class FlatCircuit
 inline constexpr size_t kMinWavefrontNodesPerChunk = 2048;
 
 /**
- * Allocation-free log-domain evaluator.  Agrees with
- * Circuit::evaluate / Circuit::logLikelihood to the 1e-12 reference
- * contract.  The referenced FlatCircuit must outlive the evaluator.
+ * Allocation-free evaluator.  Agrees with Circuit::evaluate /
+ * Circuit::logLikelihood to the 1e-12 reference contract.  The
+ * referenced FlatCircuit must outlive the evaluator.
  *
- * **One canonical kernel.**  The sum-layer two-pass logsumexp (max
- * scan, masked exp-accumulate, one log) is the *same* kernel on every
- * path: the blocked SoA batch runs it across `kBlock` SIMD lanes
- * (util/simd.h), batch tails re-run it with replicated row pointers
- * and masked stores, and single-assignment evaluate() runs the
- * identical expressions one lane at a time.  `-inf` terms are exact
- * additive identities (masked, not clamped).  Consequently every row's
- * log-likelihood is **bit-identical** regardless of batch size, batch
- * composition, tail position, thread count, or SIMD backend — the
- * guarantee the serving engine's coalescing relies on.
+ * **Two kernels, one per kind of pass.**
+ *  - *Root passes* (logLikelihood, logLikelihoodBatch, evaluateOutputs,
+ *    evaluateOutputsBatch) run the circuit's slot program through one
+ *    runtime-dispatched block kernel (simd::runSlotProgram), in an
+ *    exponent-tracked linear domain: no exp per edge, one log per
+ *    output.  Every row runs in an 8-lane block — a single row fills
+ *    all lanes, a batch tail repeats its last row, and only live lanes
+ *    are stored — and lanes never interact, so every row's value is
+ *    **bit-identical** regardless of batch size, batch composition,
+ *    tail position, thread count, or kernel table: the guarantee the
+ *    serving engine's coalescing relies on.
+ *  - *evaluate()* keeps the log-domain per-node walk (two-pass
+ *    logsumexp per sum, `-inf` terms masked), because the downward
+ *    passes and the marginal queries read every node's log value.  It
+ *    is bit-identical across thread counts; its root value agrees
+ *    with logLikelihood within the 1e-12 contract, not bitwise.
  *
  * **Threading.**  With a multi-worker pool (explicit or the global
  * pool), evaluate() runs each wavefront of the level schedule in
  * parallel (per-worker term scratch, one writer per node value) and
- * logLikelihoodBatch() splits the row-block dimension across workers
- * (one private SoA block buffer per worker).
+ * the batched root passes split the row-block dimension across
+ * workers (private slot scratch per worker, sized by the program's
+ * live slots, not the node count).
  *
  * **Thread-safety contract.**  One CircuitEvaluator serves one caller
  * at a time; for concurrent queries create one evaluator per thread
@@ -182,30 +237,46 @@ class CircuitEvaluator
      */
     std::span<const double> evaluate(const Assignment &x);
 
-    /** log P(x), reusing internal scratch. */
+    /**
+     * log P(x): one root pass, the row in every lane of one block.
+     * Requires the program's outputs to be {root} (the default).
+     */
     double logLikelihood(const Assignment &x);
 
     /**
-     * Batched log-likelihoods: one output per assignment.  Rows are
-     * processed in blocks of kBlock laid out structure-of-arrays
-     * (value[node][row]) and evaluated with the 8-lane SIMD kernels;
-     * a trailing partial block runs the *same* kernel with the last
-     * row replicated into the unused lanes and only the live lanes
-     * stored, so every row is bit-identical to any other batch shape.
-     * Blocks are split across pool workers; zero allocations once
-     * warm.
+     * Batched log-likelihoods: one output per assignment.  Rows run in
+     * blocks of kBlock through the slot-program kernel; a trailing
+     * partial block repeats its last row in the unused lanes and
+     * stores only the live ones, so every row is bit-identical to any
+     * other batch shape.  Blocks are split across pool workers; zero
+     * allocations once warm.  Requires the program's outputs to be
+     * {root}.
      */
     void logLikelihoodBatch(const std::vector<Assignment> &xs,
                             std::span<double> out);
 
-    /** Rows per SoA block: one cache line and one simd::Pack of lanes. */
+    /**
+     * The log values of every program output
+     * (FlatCircuit::RootProgram::outputs) in one root pass, in output
+     * order; `out` holds at least that many doubles.
+     */
+    void evaluateOutputs(const Assignment &x, std::span<double> out);
+
+    /**
+     * evaluateOutputs for every row, row-major: the value of output k
+     * for row r lands at out[r * outputs + k].  Same blocking and
+     * bit-identity as logLikelihoodBatch.
+     */
+    void evaluateOutputsBatch(const std::vector<Assignment> &xs,
+                              std::span<double> out);
+
+    /** Rows per block: one simd::Pack of lanes. */
     static constexpr size_t kBlock = 8;
 
     const FlatCircuit &flat() const { return flat_; }
     /**
-     * Per-node log values of the most recent evaluate().  Only
-     * meaningful after evaluate(); logLikelihoodBatch() does not
-     * update this view.
+     * Per-node log values of the most recent evaluate(); empty before
+     * the first.  Root passes neither use nor update this view.
      */
     const std::vector<double> &values() const { return logv_; }
 
@@ -215,13 +286,9 @@ class CircuitEvaluator
 
     /** The explicit pool, or the (possibly reconfigured) global one. */
     util::ThreadPool &activePool() const;
-    /**
-     * Evaluate one SoA block: all kBlock row pointers are read (tail
-     * callers replicate a live row), only out[0..n) is written.
-     */
-    void evaluateBlock(const Assignment *const *rows, size_t n,
-                       double *out, double *block_val,
-                       double *block_terms);
+    /** Root pass over rows[0..n) (n >= 1): the values of every program
+     *  output, row-major, into out. */
+    void runRootPass(const Assignment *rows, size_t n, double *out);
     /** Evaluate nodes [b, e) of the level schedule for assignment x. */
     void evaluateLevelSlice(const Assignment &x, size_t b, size_t e,
                             double *terms);
@@ -229,14 +296,13 @@ class CircuitEvaluator
     const FlatCircuit &flat_;
     /** Explicit pool, or nullptr = resolve the global pool per call. */
     util::ThreadPool *pool_;
+    /** evaluate()'s per-node values and per-sum-node term stripes
+     *  (maxFanIn per worker); both allocated by the first evaluate(). */
     std::vector<double> logv_;
-    /** Per-sum-node term scratch (max fan-in), avoids a second gather;
-     *  sized maxFanIn * numThreads, one stripe per worker. */
     std::vector<double> terms_;
-    size_t maxFanIn_ = 0;
-    /** Per-worker SoA scratch of the batched path (lazy). */
-    std::vector<std::vector<double>> blockVal_;
-    std::vector<std::vector<double>> blockTerms_;
+    /** Per-worker root-pass scratch: program slots, then one block of
+     *  output values (lazy). */
+    std::vector<double> slots_;
 };
 
 /**

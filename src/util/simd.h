@@ -40,6 +40,12 @@
  *    subnormal, negative, and non-finite inputs are out of contract
  *    (no traps or NaNs for +0, but the value is meaningless — callers
  *    mask such lanes).
+ *  - `runSlotProgram` (the root-pass kernel) computes in an
+ *    exponent-tracked linear domain: products and sums of [1, 2)
+ *    mantissas with integer exponents, exact power-of-two alignment,
+ *    and one `logMantExp` per output.  Its values agree with the
+ *    log-domain walk to ~1e-15 relative per operation; zero mass is
+ *    exactly -inf.
  *
  * The vectorizer-resistant reference kernels used by `bench_eval` to
  * measure the SIMD speedup honestly are marked `REASON_NOVECTORIZE`
@@ -120,19 +126,68 @@
 
 namespace reason {
 namespace simd {
+
+/**
+ * Plain-array view of a root-pass slot program: the upward pass of a
+ * circuit compiled to ops over a small bank of reusable value slots
+ * (pc::FlatCircuit derives it; runSlotProgram below runs it).  Ops run
+ * in order; each writes one slot and reads only slots written by
+ * earlier ops.  An op word packs the op kind (top two bits) and its
+ * destination slot.  Sum and product operands, and sum weights, are
+ * consumed in op order from their streams, so no per-op offsets are
+ * stored.  Defined outside the ABI namespace: it crosses the kernel
+ * table boundary (simd_dispatch.h) unchanged.
+ */
+struct SlotProgram
+{
+    static constexpr uint32_t kLeaf = 0;
+    static constexpr uint32_t kSum = 1;
+    static constexpr uint32_t kProduct = 2;
+    static constexpr unsigned kKindShift = 30;
+    static constexpr uint32_t kSlotMask = (1u << kKindShift) - 1;
+    /** Doubles per slot: 8 lane mantissas, then 8 lane exponents. */
+    static constexpr size_t kSlotDoubles = 16;
+
+    /** Per op: kind << kKindShift | destination slot. */
+    const uint32_t *op = nullptr;
+    /** Per op: operand count (sum, product) or leaf index (leaf). */
+    const uint32_t *arg = nullptr;
+    size_t numOps = 0;
+    /** Operand slots of every sum and product, in op order. */
+    const uint32_t *operand = nullptr;
+    /** Per sum operand, in op order: its edge weight as a mantissa in
+     *  [1, 2) and an exponent. */
+    const double *weightMant = nullptr;
+    const int32_t *weightExp = nullptr;
+    /** Per leaf index: the variable the leaf reads. */
+    const uint32_t *leafVar = nullptr;
+    /** Per leaf index and value: (mantissa, exponent) pairs at
+     *  [2 * (leaf * arity + value)]; zero mass is (0, -inf). */
+    const double *leafPair = nullptr;
+    uint32_t arity = 0;
+    /** Row value that marginalizes its variable out. */
+    uint32_t missing = 0;
+    /** Slots read as outputs, in output order. */
+    const uint32_t *output = nullptr;
+    size_t numOutputs = 0;
+    /** Slots the program uses (scratch: numSlots * kSlotDoubles). */
+    size_t numSlots = 0;
+};
+
 inline namespace REASON_SIMD_ABI {
 
 /** Lanes per pack — fixed at 8 on every backend (== kBlock rows). */
 inline constexpr size_t kLanes = 8;
 
 /**
- * Scalar twin of Pack logPositive: fdlibm-style log for positive,
- * finite, normal x (see the accuracy contract above).  The serial
- * walkers use this so single-row evaluation stays bit-identical to the
- * blocked SIMD path lane for lane.
+ * log(m * 2^e) for m in [1, 2) and an integer-valued e: the scalar core
+ * of fastLogPositive with the exponent supplied instead of read from
+ * the bits, so e may lie far outside the double range.  Whenever
+ * m * 2^e is a normal double x, the result is bit-identical to
+ * fastLogPositive(x).
  */
 inline double
-fastLogPositive(double x)
+fastLogMantExp(double m, double e)
 {
     constexpr double kLn2Hi = 6.93147180369123816490e-01;
     constexpr double kLn2Lo = 1.90821492927058770002e-10;
@@ -146,14 +201,10 @@ fastLogPositive(double x)
     constexpr double kLg7 = 1.479819860511658591e-01;
     constexpr double kSqrt2 = 1.41421356237309514547;
 
-    const uint64_t bits = std::bit_cast<uint64_t>(x);
-    int64_t k = int64_t(bits >> 52) - 1023;
-    double m = std::bit_cast<double>(
-        (bits & 0x000FFFFFFFFFFFFFull) | 0x3FF0000000000000ull);
     // Renormalize m into [sqrt(2)/2, sqrt(2)); halving is exact.
     const bool big = m > kSqrt2;
     m = big ? m * 0.5 : m;
-    double dk = double(k) + (big ? 1.0 : 0.0);
+    const double dk = e + (big ? 1.0 : 0.0);
 
     const double f = m - 1.0;
     const double s = f / (2.0 + f);
@@ -164,6 +215,22 @@ fastLogPositive(double x)
     const double r = t2 + t1;
     const double hfsq = 0.5 * f * f;
     return dk * kLn2Hi - ((hfsq - (s * (hfsq + r) + dk * kLn2Lo)) - f);
+}
+
+/**
+ * Scalar twin of Pack logPositive: fdlibm-style log for positive,
+ * finite, normal x (see the accuracy contract above), bit-identical to
+ * it lane for lane.  The scalar log-domain walks (evaluate(), the
+ * approximate tier's static bounds) use this.
+ */
+inline double
+fastLogPositive(double x)
+{
+    const uint64_t bits = std::bit_cast<uint64_t>(x);
+    const int64_t k = int64_t(bits >> 52) - 1023;
+    const double m = std::bit_cast<double>(
+        (bits & 0x000FFFFFFFFFFFFFull) | 0x3FF0000000000000ull);
+    return fastLogMantExp(m, double(k));
 }
 
 // ---------------------------------------------------------------------------
@@ -850,6 +917,28 @@ reduceMin(Pack a)
     return lo < hi ? lo : hi;
 }
 
+/** exp(r) for |r| <= ln2/2: fastExpNonPositive's degree-13 Taylor
+ *  polynomial in Horner form, lane-parallel. */
+inline Pack
+expReduced(Pack r)
+{
+    Pack p = splat(1.0 / 6227020800.0); // 1/13!
+    p = add(mul(p, r), splat(1.0 / 479001600.0));
+    p = add(mul(p, r), splat(1.0 / 39916800.0));
+    p = add(mul(p, r), splat(1.0 / 3628800.0));
+    p = add(mul(p, r), splat(1.0 / 362880.0));
+    p = add(mul(p, r), splat(1.0 / 40320.0));
+    p = add(mul(p, r), splat(1.0 / 5040.0));
+    p = add(mul(p, r), splat(1.0 / 720.0));
+    p = add(mul(p, r), splat(1.0 / 120.0));
+    p = add(mul(p, r), splat(1.0 / 24.0));
+    p = add(mul(p, r), splat(1.0 / 6.0));
+    p = add(mul(p, r), splat(0.5));
+    p = add(mul(p, r), splat(1.0));
+    p = add(mul(p, r), splat(1.0));
+    return p;
+}
+
 /**
  * Lane-parallel `fastExpNonPositive`: bit-identical to the scalar
  * version in numeric.h (same clamp, Cody-Waite split, Horner chain,
@@ -875,27 +964,40 @@ expNonPositive(Pack x)
     const PackI k = subI(toBits(t), splatI(kShiftBits));
     const Pack r =
         sub(sub(x, mul(kd, splat(kLn2Hi))), mul(kd, splat(kLn2Lo)));
-    Pack p = splat(1.0 / 6227020800.0); // 1/13!
-    p = add(mul(p, r), splat(1.0 / 479001600.0));
-    p = add(mul(p, r), splat(1.0 / 39916800.0));
-    p = add(mul(p, r), splat(1.0 / 3628800.0));
-    p = add(mul(p, r), splat(1.0 / 362880.0));
-    p = add(mul(p, r), splat(1.0 / 40320.0));
-    p = add(mul(p, r), splat(1.0 / 5040.0));
-    p = add(mul(p, r), splat(1.0 / 720.0));
-    p = add(mul(p, r), splat(1.0 / 120.0));
-    p = add(mul(p, r), splat(1.0 / 24.0));
-    p = add(mul(p, r), splat(1.0 / 6.0));
-    p = add(mul(p, r), splat(0.5));
-    p = add(mul(p, r), splat(1.0));
-    p = add(mul(p, r), splat(1.0));
+    const Pack p = expReduced(r);
     const PackI pow2 = shlI<52>(addI(k, splatI(1023)));
     return mul(p, fromBits(pow2));
 }
 
-/** Lane-parallel `fastLogPositive` (same algorithm, same bits). */
+/**
+ * exp(x) as a mantissa/exponent pair, for finite x with |x| < 2^50:
+ * m in [1, 2) and e an integer-valued double, m * 2^e == exp(x) to
+ * ~1e-16 relative, and neither half under- or overflows (a log-weight
+ * of -2000 keeps its value).  The Cody-Waite reduction and polynomial
+ * of expNonPositive, with no libm call; x == 0 gives exactly (1, 0).
+ * Lowering splits every weight and leaf entry with this, so it runs
+ * 8 lanes at a time.
+ */
+inline void
+expSplit(Pack x, Pack &m, Pack &e)
+{
+    constexpr double kLog2e = 1.4426950408889634074;
+    constexpr double kLn2Hi = 6.93147180369123816490e-01;
+    constexpr double kLn2Lo = 1.90821492927058770002e-10;
+    constexpr double kShift = 6755399441055744.0; // 2^52 + 2^51
+    const Pack shift = splat(kShift);
+    const Pack kd = sub(add(mul(x, splat(kLog2e)), shift), shift);
+    const Pack r =
+        sub(sub(x, mul(kd, splat(kLn2Hi))), mul(kd, splat(kLn2Lo)));
+    const Pack p = expReduced(r); // in [sqrt(2)/2, sqrt(2)]
+    const Mask low = cmpGt(splat(1.0), p);
+    m = select(low, mul(p, splat(2.0)), p); // exact
+    e = sub(kd, select(low, splat(1.0), splat(0.0)));
+}
+
+/** Lane-parallel `fastLogMantExp` (same algorithm, same bits). */
 inline Pack
-logPositive(Pack x)
+logMantExp(Pack m, Pack e)
 {
     constexpr double kLn2Hi = 6.93147180369123816490e-01;
     constexpr double kLn2Lo = 1.90821492927058770002e-10;
@@ -907,26 +1009,10 @@ logPositive(Pack x)
     constexpr double kLg6 = 1.531383769920937332e-01;
     constexpr double kLg7 = 1.479819860511658591e-01;
     constexpr double kSqrt2 = 1.41421356237309514547;
-    constexpr double kMagic = 6755399441055744.0; // 2^52 + 2^51
-    const int64_t kMagicBits = std::bit_cast<int64_t>(kMagic);
 
-    const PackI bits = toBits(x);
-    // m = mantissa with the exponent field forced to [1, 2).
-    Pack m = fromBits(orI(andI(bits, splatI(0x000FFFFFFFFFFFFFll)),
-                          splatI(0x3FF0000000000000ll)));
-    // Unbiased exponent as a double via the magic-constant trick:
-    // (bits >> 52) is the biased exponent in [1, 2046]; writing it
-    // into kMagic's low mantissa bits yields double(kMagic + e)
-    // exactly (ulp == 1 in that binade), so the subtraction recovers
-    // the exact integer as a double — identical to the scalar
-    // double(int64) conversion.
-    const Pack ed =
-        sub(fromBits(orI(shrI<52>(bits), splatI(kMagicBits))),
-            splat(kMagic));
-    Pack dk = sub(ed, splat(1023.0));
     const Mask big = cmpGt(m, splat(kSqrt2));
     m = select(big, mul(m, splat(0.5)), m);
-    dk = add(dk, select(big, splat(1.0), splat(0.0)));
+    const Pack dk = add(e, select(big, splat(1.0), splat(0.0)));
 
     const Pack f = sub(m, splat(1.0));
     const Pack s = div(f, add(splat(2.0), f));
@@ -947,6 +1033,29 @@ logPositive(Pack x)
     const Pack inner =
         add(mul(s, add(hfsq, r)), mul(dk, splat(kLn2Lo)));
     return sub(mul(dk, splat(kLn2Hi)), sub(sub(hfsq, inner), f));
+}
+
+/** Lane-parallel `fastLogPositive` (same algorithm, same bits). */
+inline Pack
+logPositive(Pack x)
+{
+    constexpr double kMagic = 6755399441055744.0; // 2^52 + 2^51
+    const int64_t kMagicBits = std::bit_cast<int64_t>(kMagic);
+
+    const PackI bits = toBits(x);
+    // m = mantissa with the exponent field forced to [1, 2).
+    const Pack m = fromBits(orI(andI(bits, splatI(0x000FFFFFFFFFFFFFll)),
+                                splatI(0x3FF0000000000000ll)));
+    // Unbiased exponent as a double via the magic-constant trick:
+    // (bits >> 52) is the biased exponent in [1, 2046]; writing it
+    // into kMagic's low mantissa bits yields double(kMagic + e)
+    // exactly (ulp == 1 in that binade), so the subtraction recovers
+    // the exact integer as a double — identical to the scalar
+    // double(int64) conversion.
+    const Pack ed =
+        sub(fromBits(orI(shrI<52>(bits), splatI(kMagicBits))),
+            splat(kMagic));
+    return logMantExp(m, sub(ed, splat(1023.0)));
 }
 
 /**
@@ -1039,50 +1148,161 @@ expMulOrZero(const double *args, const double *scale, double *out,
 }
 
 /**
- * The staged half of sumLayerBlock (below): `terms` already holds the
- * fan-in edge terms, edge-major (fanin * kLanes doubles).  Split out
- * so the runtime-dispatched kernel tables (simd_dispatch.h) can run
- * the two-pass scan in a wider ISA than the caller staged the terms
- * with — bit-identical by the backend contract, since the scan
- * computes max, expNonPositive, and logPositive over the same values
- * in the same order.
+ * Bring a lane's (mantissa, exponent) pair back to m in [1, 2): m must
+ * be 0 or a normal double >= 1, which every product and sum of
+ * [1, 2) mantissas is.  The exponent moves into e from the bits, and
+ * m is scaled by the exact power of two 2^-k.  A zero mantissa stays 0
+ * (0 * 2^1023), and its exponent, -inf, stays -inf.
  */
-inline Pack
-sumLayerBlockStaged(size_t fanin, const double *terms)
+inline void
+renormalize(Pack &m, Pack &e)
 {
-    const Pack neg_inf = splat(kLogZero);
-    const Pack zero = splat(0.0);
-    Pack hi = neg_inf;
-    for (size_t e = 0; e < fanin; ++e)
-        hi = max(hi, load(terms + e * kLanes));
-    const Mask dead = cmpEq(hi, neg_inf);
-    const Pack hi_safe = select(dead, zero, hi);
-    Pack acc = zero;
-    for (size_t e = 0; e < fanin; ++e) {
-        const Pack t = load(terms + e * kLanes);
-        const Pack ex = expNonPositive(sub(t, hi_safe));
-        acc = add(acc, select(cmpEq(t, neg_inf), zero, ex));
-    }
-    return select(dead, neg_inf, add(hi, logPositive(acc)));
+    constexpr double kMagic = 6755399441055744.0; // 2^52 + 2^51
+    const int64_t kMagicBits = std::bit_cast<int64_t>(kMagic);
+    const PackI biased = shrI<52>(toBits(m));
+    m = mul(m, fromBits(shlI<52>(subI(splatI(2046), biased))));
+    // biased - 1023 as a double, exactly (see logPositive).
+    e = add(e, sub(fromBits(orI(biased, splatI(kMagicBits))),
+                   splat(kMagic + 1023.0)));
 }
 
 /**
- * Canonical sum-layer two-pass logsumexp over one 8-lane SoA block:
- * `term_at(e)` produces the 8 row-lane terms of fan-in edge e (each is
- * also staged to `terms_scratch`, edge-major, for the second pass),
- * `-inf` terms are exact additive identities, and dead lanes (every
- * term `-inf`) come back as `-inf`.  This is THE sum-node kernel: the
- * production block evaluator (pc::CircuitEvaluator::evaluateBlock)
- * and bench_eval's gated kernel_logsumexp micro-bench both call it,
- * so the measured kernel is the shipped one.
+ * One sum of a slot program over 8 lanes, in the exponent-tracked
+ * linear domain: with E the largest e_w + e_c over the edges,
+ * acc = sum (m_w * m_c) * 2^(e_w + e_c - E), folded in edge order, and
+ * the result (acc, E) is renormalized.  2^d is assembled from bits and
+ * is exactly 0 below 2^-1022.  A lane whose terms are all zero
+ * (exponent -inf) comes back as (0, -inf).  `slots` is the program
+ * scratch (SlotProgram::kSlotDoubles per slot).
  */
-template <typename TermAt>
-inline Pack
-sumLayerBlock(size_t fanin, double *terms_scratch, TermAt term_at)
+inline void
+linearSum(const double *slots, const uint32_t *operand,
+          const double *weightMant, const int32_t *weightExp,
+          size_t fanin, Pack &m, Pack &e)
 {
-    for (size_t e = 0; e < fanin; ++e)
-        store(terms_scratch + e * kLanes, term_at(e));
-    return sumLayerBlockStaged(fanin, terms_scratch);
+    constexpr size_t S = SlotProgram::kSlotDoubles;
+    constexpr double kShift = 6755399441055744.0; // 2^52 + 2^51
+    const Pack neg_inf = splat(kLogZero);
+    Pack top = neg_inf;
+    for (size_t k = 0; k < fanin; ++k)
+        top = max(top, add(splat(double(weightExp[k])),
+                           load(slots + size_t(operand[k]) * S + kLanes)));
+    // All-zero lanes align against 0: every term then sits at -inf,
+    // clamps to 2^-1023 and contributes exactly 0.
+    const Pack base = select(cmpEq(top, neg_inf), splat(0.0), top);
+    const Pack floor = splat(-1023.0);
+    const Pack shift = splat(kShift);
+    // (d + kShift) holds d + 2^51 in its low mantissa bits; adding
+    // 1023 - 2^51 leaves the biased exponent d + 1023 there, and the
+    // shift moves it into the exponent field (d == -1023 gives +0).
+    const PackI rebias = splatI(1023 - (int64_t(1) << 51));
+    Pack acc = splat(0.0);
+    for (size_t k = 0; k < fanin; ++k) {
+        const double *c = slots + size_t(operand[k]) * S;
+        const Pack d = max(
+            sub(add(splat(double(weightExp[k])), load(c + kLanes)), base),
+            floor);
+        const Pack scale =
+            fromBits(shlI<52>(addI(toBits(add(d, shift)), rebias)));
+        acc = add(acc, mul(mul(splat(weightMant[k]), load(c)), scale));
+    }
+    m = acc;
+    e = top;
+    renormalize(m, e);
+}
+
+/** Product operands multiplied between renormalizations: a product of
+ *  this many [1, 2) mantissas (times one more) stays below 2^1023. */
+inline constexpr size_t kProductRenormEvery = 512;
+
+/**
+ * Run a root-pass slot program (SlotProgram) over one 8-row block in
+ * the exponent-tracked linear domain: each lane of a slot carries a
+ * mantissa in [1, 2), or 0, and an integer-valued exponent, -inf for
+ * zero.  Leaves copy their (mantissa, exponent) pair from the table
+ * (a missing value reads (1, 0)); products multiply mantissas and add
+ * exponents, renormalizing every kProductRenormEvery operands and at
+ * the end; sums run linearSum.  Each output takes one log:
+ * out[o * kLanes + lane] = log(m) + e * ln2, -inf for zero.  `rows`
+ * holds kLanes row pointers (tail callers repeat a live row); `slots`
+ * is numSlots * kSlotDoubles of scratch.  Every step is a lane-parallel
+ * IEEE operation, so each lane's result is bit-identical on every
+ * backend and independent of the other lanes.  Returns false if a row
+ * holds a value outside [0, arity) that is not `missing` (that lane's
+ * leaf then reads zero).
+ */
+inline bool
+runSlotProgram(const SlotProgram &p, const uint32_t *const *rows,
+               double *slots, double *out)
+{
+    constexpr size_t S = SlotProgram::kSlotDoubles;
+    const uint32_t *operand = p.operand;
+    const double *weight_mant = p.weightMant;
+    const int32_t *weight_exp = p.weightExp;
+    bool ok = true;
+    for (size_t i = 0; i < p.numOps; ++i) {
+        const uint32_t word = p.op[i];
+        const uint32_t arg = p.arg[i];
+        double *dst = slots + size_t(word & SlotProgram::kSlotMask) * S;
+        switch (word >> SlotProgram::kKindShift) {
+          case SlotProgram::kLeaf: {
+            // The rows are distinct assignments: a scalar gather.
+            const uint32_t var = p.leafVar[arg];
+            const double *pair = p.leafPair + size_t(arg) * p.arity * 2;
+            for (size_t b = 0; b < kLanes; ++b) {
+                const uint32_t v = rows[b][var];
+                double lm = 1.0, le = 0.0; // marginalized: sums to 1
+                if (v != p.missing) {
+                    ok = ok && v < p.arity;
+                    lm = v < p.arity ? pair[2 * v] : 0.0;
+                    le = v < p.arity ? pair[2 * v + 1] : kLogZero;
+                }
+                dst[b] = lm;
+                dst[kLanes + b] = le;
+            }
+            break;
+          }
+          case SlotProgram::kProduct: {
+            Pack m = splat(1.0);
+            Pack e = splat(0.0);
+            for (size_t k0 = 0; k0 < arg; k0 += kProductRenormEvery) {
+                const size_t k1 =
+                    k0 + kProductRenormEvery < arg ? k0 + kProductRenormEvery
+                                                   : arg;
+                for (size_t k = k0; k < k1; ++k) {
+                    const double *c = slots + size_t(operand[k]) * S;
+                    m = mul(m, load(c));
+                    e = add(e, load(c + kLanes));
+                }
+                renormalize(m, e);
+            }
+            // The empty product stays exactly (1, 0).
+            operand += arg;
+            store(dst, m);
+            store(dst + kLanes, e);
+            break;
+          }
+          default: { // SlotProgram::kSum
+            Pack m, e;
+            linearSum(slots, operand, weight_mant, weight_exp, arg, m, e);
+            operand += arg;
+            weight_mant += arg;
+            weight_exp += arg;
+            store(dst, m);
+            store(dst + kLanes, e);
+            break;
+          }
+        }
+    }
+    const Pack zero = splat(0.0);
+    for (size_t o = 0; o < p.numOutputs; ++o) {
+        const double *c = slots + size_t(p.output[o]) * S;
+        const Pack m = load(c);
+        store(out + o * kLanes,
+              select(cmpEq(m, zero), splat(kLogZero),
+                     logMantExp(m, load(c + kLanes))));
+    }
+    return ok;
 }
 
 /**

@@ -22,8 +22,10 @@
  * hoist `const KernelTable &k = activeKernels()` once and then pay one
  * indirect call per kernel invocation.
  *
- * The dispatched surface is the array-shaped serving hot path (sum
- * layers, gather logsumexp, flow exp-multiplies, reduction merges).
+ * The dispatched surface is the array-shaped serving hot path: the
+ * root-pass slot program (one call walks a whole compiled circuit over
+ * one 8-row block), the gather logsumexp, the flow exp-multiplies and
+ * the reduction merges.
  * Lane-op-heavy code that inlines pack primitives directly (the HMM
  * leaf batches, core/flat.cc) keeps the compile-time backend — a
  * function-pointer boundary per lane op would cost more than the wider
@@ -35,16 +37,18 @@
 #define REASON_UTIL_SIMD_DISPATCH_H
 
 #include <cstddef>
+#include <cstdint>
 
 namespace reason {
 namespace simd {
 
+struct SlotProgram;
+
 /**
  * One ISA's kernel entry points.  All functions follow the exact
- * semantics of their simd.h namesakes; sumLayerBlockStaged writes the
- * 8-lane result pack to `out` (kLanes doubles) instead of returning a
- * Pack, since Pack types differ per ABI namespace and must not cross
- * this boundary.
+ * semantics of their simd.h namesakes.  Only plain arrays and the
+ * ABI-independent SlotProgram view cross this boundary: Pack types
+ * differ per ABI namespace.
  */
 struct KernelTable
 {
@@ -54,8 +58,10 @@ struct KernelTable
     void (*expMulOrZero)(const double *args, const double *scale,
                          double *out, size_t n);
     void (*addInto)(double *dst, const double *src, size_t n);
-    void (*sumLayerBlockStaged)(size_t fanin, const double *terms,
-                                double *out);
+    /** simd::runSlotProgram: the whole walk runs in this ISA. */
+    bool (*runSlotProgram)(const SlotProgram &program,
+                           const uint32_t *const *rows, double *slots,
+                           double *out);
 };
 
 /**

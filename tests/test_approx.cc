@@ -207,9 +207,8 @@ TEST(ApproxDifferential, RebuildAndRequeryAreDeterministic)
 
 TEST(ApproxDifferential, QueryBatchMatchesSingleQueries)
 {
-    // Below one block, the per-row walk (1, 7); one full block (8),
-    // full blocks plus a tail (9, 17), and enough blocks to split
-    // across workers (64).
+    // A partial block (1, 7); one full block (8), full blocks plus a
+    // tail (9, 17), and enough blocks to split across workers (64).
     constexpr size_t kBatchSizes[] = {1, 7, 8, 9, 17, 64};
     const auto same = [](const pc::ApproxResult &a,
                          const pc::ApproxResult &b) {

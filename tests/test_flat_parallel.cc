@@ -595,7 +595,9 @@ TEST(FlatCircuitSchedule, LevelsAndTransposeAreConsistent)
             const uint32_t e = flat.parentEdge[pe];
             ++edge_seen[e];
             EXPECT_EQ(flat.edgeTarget[e], c_id);
-            const uint32_t parent = flat.edgeSource[e];
+            const uint32_t parent = flat.parentNode[pe];
+            EXPECT_GE(e, flat.edgeOffset[parent]);
+            EXPECT_LT(e, flat.edgeOffset[parent + 1]);
             EXPECT_LE(parent, prev_parent);
             prev_parent = parent;
         }

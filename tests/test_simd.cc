@@ -13,7 +13,11 @@
  *    expMulOrZero, and addInto behave exactly as specified;
  *  - batched circuit evaluation is bit-identical to the single-row
  *    walk for every batch size (tail/remainder lanes) and thread
- *    count, and stays within 1e-10 of the seed reference walker.
+ *    count, and stays within 1e-10 of the seed reference walker;
+ *  - the exponent-tracked linear domain of the root-pass kernel holds
+ *    at its edges: wide products, terms too far apart to align, tiny
+ *    and subnormal masses, exact zeros, and log values below the
+ *    double range.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +27,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "logic/cnf.h"
 #include "pc/flat_pc.h"
+#include "pc/from_logic.h"
 #include "pc/pc.h"
 #include "util/numeric.h"
 #include "util/parallel.h"
@@ -64,6 +70,85 @@ randomAssignments(Rng &rng, const pc::Circuit &c, size_t count,
                        : uint32_t(rng.uniformInt(0, c.arity() - 1));
     }
     return xs;
+}
+
+/**
+ * Run `flat`'s slot program over `xs` with kernel table `t`, one block
+ * of 8 rows at a time (a tail block repeats its last row), and return
+ * output 0 of every row.
+ */
+std::vector<double>
+runTable(const simd::KernelTable &t, const pc::FlatCircuit &flat,
+         const std::vector<pc::Assignment> &xs)
+{
+    const simd::SlotProgram view = flat.programView();
+    std::vector<double> slots(
+        std::max<size_t>(view.numSlots, 1) * simd::SlotProgram::kSlotDoubles);
+    std::vector<double> vals(view.numOutputs * simd::kLanes);
+    std::vector<double> got(xs.size());
+    const uint32_t *rows[simd::kLanes];
+    for (size_t base = 0; base < xs.size(); base += simd::kLanes) {
+        const size_t n = std::min(simd::kLanes, xs.size() - base);
+        for (size_t i = 0; i < simd::kLanes; ++i)
+            rows[i] = xs[base + std::min(i, n - 1)].data();
+        EXPECT_TRUE(t.runSlotProgram(view, rows, slots.data(), vals.data()));
+        for (size_t i = 0; i < n; ++i)
+            got[base + i] = vals[i];
+    }
+    return got;
+}
+
+/**
+ * The root-pass contracts on one circuit: the single-row pass agrees
+ * with evaluate()[root] to 1e-12 relative and (given `seed`) with the
+ * seed walker to 1e-10, exact zeros are exactly -inf everywhere, and
+ * every batch shape and kernel table reproduces the single-row bits.
+ * Returns the single-row values.
+ */
+std::vector<double>
+expectRootPassContracts(const pc::FlatCircuit &flat,
+                        const std::vector<pc::Assignment> &xs,
+                        const pc::Circuit *seed)
+{
+    util::ThreadPool serial(1);
+    pc::CircuitEvaluator eval(flat, &serial);
+    std::vector<double> want(xs.size());
+    for (size_t i = 0; i < xs.size(); ++i) {
+        want[i] = eval.logLikelihood(xs[i]);
+        const double logv = eval.evaluate(xs[i])[flat.root];
+        if (logv == kLogZero) {
+            EXPECT_EQ(want[i], kLogZero) << "row " << i;
+        } else {
+            EXPECT_NEAR(want[i], logv, 1e-12 * std::max(1.0, std::fabs(logv)))
+                << "row " << i;
+        }
+        if (seed != nullptr) {
+            const double ref = seed->logLikelihood(xs[i]);
+            if (ref == kLogZero)
+                EXPECT_EQ(want[i], kLogZero) << "row " << i;
+            else
+                EXPECT_NEAR(want[i], ref, 1e-10) << "row " << i;
+        }
+    }
+    for (size_t n : {size_t(1), size_t(3), size_t(8), size_t(13),
+                     xs.size()}) {
+        n = std::min(n, xs.size());
+        std::vector<pc::Assignment> rows(xs.begin(), xs.begin() + long(n));
+        std::vector<double> got(n);
+        eval.logLikelihoodBatch(rows, got);
+        for (size_t i = 0; i < n; ++i)
+            EXPECT_EQ(bits(got[i]), bits(want[i]))
+                << "batch=" << n << " row=" << i;
+    }
+    const simd::KernelTable *tables[8];
+    const size_t count = simd::runnableKernelTables(tables, 8);
+    for (size_t t = 0; t < count; ++t) {
+        const std::vector<double> got = runTable(*tables[t], flat, xs);
+        for (size_t i = 0; i < xs.size(); ++i)
+            EXPECT_EQ(bits(got[i]), bits(want[i]))
+                << tables[t]->isa << " row " << i;
+    }
+    return want;
 }
 
 } // namespace
@@ -280,6 +365,21 @@ TEST(SimdDispatch, AllRunnableKernelTablesAgreeBitwise)
     // Baseline first, and it is the compile-time backend.
     EXPECT_STREQ(tables[0]->isa, simd::isaName());
 
+    // The slot-program kernel on a real circuit's program, with
+    // partial rows.
+    Rng crng(43);
+    const pc::Circuit circuit = pc::randomCircuit(crng, 24, 3, 3, 6);
+    const pc::FlatCircuit flat(circuit);
+    const std::vector<pc::Assignment> rows =
+        randomAssignments(crng, circuit, 40, 0.3);
+    const std::vector<double> slot0 = runTable(*tables[0], flat, rows);
+    for (size_t t = 1; t < count; ++t) {
+        const std::vector<double> slot = runTable(*tables[t], flat, rows);
+        for (size_t i = 0; i < rows.size(); ++i)
+            EXPECT_EQ(bits(slot[i]), bits(slot0[i]))
+                << tables[t]->isa << " row " << i;
+    }
+
     Rng rng(41);
     for (int iter = 0; iter < 500; ++iter) {
         const size_t n = size_t(rng.uniformInt(0, 40));
@@ -290,11 +390,6 @@ TEST(SimdDispatch, AllRunnableKernelTablesAgreeBitwise)
                                         : rng.uniformReal(-80.0, 0.0);
             scale[i] = rng.uniformReal(0.0, 2.0);
         }
-        const size_t fanin = 1 + n % 16;
-        std::vector<double> terms(fanin * simd::kLanes);
-        for (auto &t : terms)
-            t = rng.bernoulli(0.2) ? kLogZero
-                                   : rng.uniformReal(-60.0, 0.0);
 
         const double lse0 = tables[0]->logSumExpMasked(xs.data(), n);
         std::vector<double> emz0(xs.size());
@@ -302,8 +397,6 @@ TEST(SimdDispatch, AllRunnableKernelTablesAgreeBitwise)
                                 n);
         std::vector<double> add0(xs.begin(), xs.end());
         tables[0]->addInto(add0.data(), scale.data(), n);
-        double slb0[simd::kLanes];
-        tables[0]->sumLayerBlockStaged(fanin, terms.data(), slb0);
 
         for (size_t t = 1; t < count; ++t) {
             EXPECT_EQ(bits(tables[t]->logSumExpMasked(xs.data(), n)),
@@ -314,17 +407,12 @@ TEST(SimdDispatch, AllRunnableKernelTablesAgreeBitwise)
                                     emz.data(), n);
             std::vector<double> add(xs.begin(), xs.end());
             tables[t]->addInto(add.data(), scale.data(), n);
-            double slb[simd::kLanes];
-            tables[t]->sumLayerBlockStaged(fanin, terms.data(), slb);
             for (size_t i = 0; i < n; ++i) {
                 EXPECT_EQ(bits(emz[i]), bits(emz0[i]))
                     << tables[t]->isa << " lane " << i;
                 EXPECT_EQ(bits(add[i]), bits(add0[i]))
                     << tables[t]->isa << " lane " << i;
             }
-            for (size_t i = 0; i < simd::kLanes; ++i)
-                EXPECT_EQ(bits(slb[i]), bits(slb0[i]))
-                    << tables[t]->isa << " lane " << i;
         }
     }
 }
@@ -415,4 +503,160 @@ TEST(SimdCircuit, BatchStaysWithinDifferentialContractOfSeedWalker)
         else
             EXPECT_NEAR(got[i], want, 1e-10) << "row " << i;
     }
+}
+
+// ---------------------------------------------------------------------------
+// The exponent-tracked linear domain at its edges (simd::runSlotProgram):
+// each case checks the full root-pass contract set of
+// expectRootPassContracts — seed walker, evaluate(), batch shapes and
+// every kernel table.
+// ---------------------------------------------------------------------------
+
+TEST(LinearRootPass, WideProductRenormalizesItsMantissas)
+{
+    // 1,200 leaves at probability 0.999: each mantissa is 1.998, so
+    // their product overflows 2^1024 unless it is renormalized on the
+    // way.  The product is the root, and also sits under a sum.
+    constexpr uint32_t kVars = 1200;
+    pc::Circuit c(kVars, 2);
+    std::vector<pc::NodeId> hot, cold;
+    for (uint32_t v = 0; v < kVars; ++v) {
+        hot.push_back(c.addLeaf(v, {0.999, 0.001}));
+        cold.push_back(c.addLeaf(v, {0.75, 0.25}));
+    }
+    const pc::NodeId wide = c.addProduct(hot);
+    const pc::NodeId other = c.addProduct(cold);
+    c.addSum({wide, other}, {0.5, 0.5});
+    pc::Circuit product_root(kVars, 2);
+    std::vector<pc::NodeId> leaves;
+    for (uint32_t v = 0; v < kVars; ++v)
+        leaves.push_back(product_root.addLeaf(v, {0.999, 0.001}));
+    product_root.addProduct(leaves);
+
+    Rng rng(5);
+    std::vector<pc::Assignment> xs =
+        randomAssignments(rng, c, 11, 0.1);
+    xs.push_back(pc::Assignment(kVars, 0));
+    xs.push_back(pc::Assignment(kVars, pc::kMissing));
+    for (const pc::Circuit *circuit : {&c, &product_root}) {
+        const pc::FlatCircuit flat(*circuit);
+        const std::vector<double> got =
+            expectRootPassContracts(flat, xs, circuit);
+        // All-zero rows: 1,200 * log(0.999), far from any overflow.
+        EXPECT_NEAR(got[11], (circuit == &c ? std::log(0.5) : 0.0) +
+                                 kVars * std::log(0.999),
+                    circuit == &c ? 1e-3 : 1e-9);
+    }
+}
+
+TEST(LinearRootPass, TermsTooFarApartFlushToExactZero)
+{
+    // Five leaves at 1e-300 make a product near 2^-4983; summed with a
+    // leaf near 1, the aligned term sits ~2^4982 below the other and
+    // must flush to exactly 0 — in either edge order — while the
+    // product alone stays exact.
+    pc::Circuit c(8, 2);
+    std::vector<pc::NodeId> tiny;
+    for (uint32_t v = 0; v < 5; ++v)
+        tiny.push_back(c.addLeaf(v, {1e-300, 1.0}));
+    const pc::NodeId p = c.addProduct(tiny);
+    const pc::NodeId l = c.addLeaf(5, {0.5, 0.5});
+    const pc::NodeId near_one = c.addLeaf(6, {1.0 - 1e-9, 1e-9});
+    const pc::NodeId s1 = c.addSum({p, l}, {0.5, 0.5});
+    const pc::NodeId s2 = c.addSum({l, p}, {0.25, 0.75});
+    // A sum whose terms are both tiny but close: alignment, no flush.
+    const pc::NodeId s3 = c.addSum({p, c.addProduct({p, near_one})},
+                                   {0.5, 0.5});
+    c.addProduct({s1, s2, s3, c.addLeaf(7, {0.3, 0.7})});
+
+    Rng rng(9);
+    std::vector<pc::Assignment> xs = randomAssignments(rng, c, 14, 0.2);
+    xs.push_back(pc::Assignment(8, 0));
+    xs.push_back(pc::Assignment(8, pc::kMissing));
+    const pc::FlatCircuit flat(c);
+    const std::vector<double> got = expectRootPassContracts(flat, xs, &c);
+    EXPECT_LT(got[14], -3400.0); // s3 keeps its ~2^-4983 scale
+}
+
+TEST(LinearRootPass, SubnormalAndTinyMassesKeepTheirValue)
+{
+    // Weights and leaf probabilities near and below the smallest
+    // normal double, as in a mixture's decaying tail.
+    pc::Circuit c(4, 2);
+    const pc::NodeId a = c.addLeaf(0, {1e-310, 1.0});
+    const pc::NodeId b = c.addLeaf(1, {4.9e-324, 1.0});
+    const pc::NodeId d = c.addLeaf(2, {1e-300, 1.0});
+    const pc::NodeId e = c.addLeaf(3, {0.5, 0.5});
+    const pc::NodeId s = c.addSum({a, b, d, e},
+                                  {5e-324, 1e-300, 1e-310, 1.0});
+    const pc::NodeId t = c.addSum({c.addProduct({a, b}), e},
+                                  {1.0, 2.2250738585072014e-308});
+    c.addProduct({s, t});
+
+    Rng rng(13);
+    std::vector<pc::Assignment> xs = randomAssignments(rng, c, 20, 0.2);
+    xs.push_back(pc::Assignment(4, 0));
+    const pc::FlatCircuit flat(c);
+    expectRootPassContracts(flat, xs, &c);
+}
+
+TEST(LinearRootPass, ZeroMassIsExactlyMinusInfinity)
+{
+    pc::Circuit c(3, 2);
+    const pc::NodeId a = c.addLeaf(0, {1.0, 0.0});
+    const pc::NodeId b = c.addLeaf(1, {1.0, 0.0});
+    const pc::NodeId all_zero = c.addSum({a, b}, {0.3, 0.7});
+    const pc::NodeId zero_child = c.addProduct({a, c.addLeaf(2, {0.5, 0.5})});
+    // A zero-weight edge carries no mass: dropped from the program.
+    const pc::NodeId zero_weight = c.addSum({all_zero, zero_child, b},
+                                            {0.0, 0.5, 0.5});
+    c.addSum({all_zero, zero_weight}, {0.5, 0.5});
+    const pc::FlatCircuit flat(c);
+    std::vector<pc::Assignment> xs = {
+        {1, 1, 0}, {1, 1, pc::kMissing}, {0, 0, 1}, {1, 0, 0},
+        {pc::kMissing, 1, 1}, {0, 1, 0}, {1, 1, 1}, {0, 0, 0}, {1, 0, 1}};
+    const std::vector<double> got = expectRootPassContracts(flat, xs, &c);
+    EXPECT_EQ(got[0], kLogZero);
+    EXPECT_EQ(got[1], kLogZero);
+    EXPECT_NE(got[2], kLogZero);
+
+    // A sum whose every edge weight is zero, built directly.
+    pc::FlatCircuit direct;
+    direct.numVars = 1;
+    direct.arity = 2;
+    direct.types = {pc::FlatCircuit::kLeaf, pc::FlatCircuit::kSum};
+    direct.leafSlot = {0, pc::kInvalidNode};
+    direct.leafVar = {0};
+    direct.leafLogDist = {std::log(0.5), std::log(0.5)};
+    direct.edgeOffset = {0, 0, 1};
+    direct.edgeTarget = {0};
+    direct.edgeLogWeight = {kLogZero};
+    direct.root = 1;
+    direct.finalizeTopology();
+    expectRootPassContracts(direct, {{0}, {1}, {pc::kMissing}}, nullptr);
+    EXPECT_EQ(pc::CircuitEvaluator(direct).logLikelihood({0}), kLogZero);
+
+    // An UNSAT formula's WMC circuit is constant false.
+    logic::CnfFormula unsat(2);
+    unsat.addClause({1});
+    unsat.addClause({-1, 2});
+    unsat.addClause({-2});
+    EXPECT_EQ(pc::flatLogWmc(pc::compileCnfFlat(unsat)), kLogZero);
+    logic::CnfFormula sat(2);
+    sat.addClause({1, 2});
+    EXPECT_NEAR(pc::flatLogWmc(pc::compileCnfFlat(sat)), std::log(0.75),
+                1e-12);
+}
+
+TEST(LinearRootPass, LogProbabilitiesBelowTheDoubleRange)
+{
+    // The serving workload's shape: 1,500 variables, |log p| ~ 1,000,
+    // so p itself is far below the smallest double.
+    Rng rng(2024);
+    const pc::Circuit c = pc::randomCircuit(rng, 1500, 2, 8, 16);
+    const pc::FlatCircuit flat(c);
+    std::vector<pc::Assignment> xs = pc::sampleDataset(rng, c, 13);
+    const std::vector<double> got = expectRootPassContracts(flat, xs, &c);
+    for (double v : got)
+        EXPECT_LT(v, -745.0);
 }
