@@ -788,7 +788,6 @@ main(int argc, char **argv)
         sys::ServeOptions sopts;
         sopts.maxBatch = max_batch;
         sopts.serveThreads = 1;
-        sopts.maxCoalesceWindowUs = 0;
 
         // Sequential baseline: submit-and-wait one request at a time
         // (batch occupancy 1, no overlap between client and engine).
@@ -896,10 +895,9 @@ main(int argc, char **argv)
 
         constexpr size_t kClients = 4;
         size_t mismatches = 0;
-        // Identity sweep: dispatcher counts x queue policies (plus
-        // linger autotuning on the widest config).  Backlog is built
-        // under pause so coalescing itself is deterministic; the
-        // *outputs* must be bit-identical in any case.
+        // Identity sweep: dispatcher counts x queue policies.  Backlog
+        // is built under pause so coalescing itself is deterministic;
+        // the *outputs* must be bit-identical in any case.
         double serve_ms = 0.0, occupancy = 0.0;
         double p50_ms = 0.0, p99_ms = 0.0, rps = 0.0;
         for (unsigned dispatchers : {1u, 2u, 4u}) {
@@ -911,7 +909,6 @@ main(int argc, char **argv)
                 sopts.serveThreads = 1;
                 sopts.dispatchers = dispatchers;
                 sopts.queuePolicy = policy;
-                sopts.autoLingerWindow = dispatchers == 4;
                 sopts.startPaused = true;
                 sys::ReasonEngine engine(sopts);
                 sys::EngineStats stats{};

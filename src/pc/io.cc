@@ -1,5 +1,6 @@
 #include "pc/io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -68,10 +69,22 @@ parseText(const std::string &text)
     std::string vars_tag, arity_tag;
     if (!(is >> vars_tag >> num_vars >> arity_tag >> arity) ||
         vars_tag != "vars" || arity_tag != "arity" || num_vars == 0 ||
-        arity == 0)
+        arity < 2)
         fatal("parseText: malformed dimension line");
 
     Circuit circuit(num_vars, arity);
+    // Scratch grown one token at a time: a count in the file (arity,
+    // fan-in) never sizes an allocation before its tokens were read.
+    std::vector<double> values;
+    std::vector<NodeId> children;
+    // Circuit::addLeaf/addSum normalize by this left-to-right total;
+    // it must be finite and positive.
+    auto positiveFiniteTotal = [&values] {
+        double total = 0.0;
+        for (double v : values)
+            total += v;
+        return std::isfinite(total) && total > 0.0;
+    };
     size_t count = 0;
     bool have_root = false;
     while (is >> tag) {
@@ -83,36 +96,51 @@ parseText(const std::string &text)
             have_root = true;
             break;
         }
+        values.clear();
+        children.clear();
         if (tag == "l") {
             uint32_t var;
             if (!(is >> var) || var >= num_vars)
                 fatal("parseText: bad leaf variable at node %zu", count);
-            std::vector<double> dist(arity);
-            for (double &p : dist)
+            for (uint32_t a = 0; a < arity; ++a) {
+                double p;
                 if (!(is >> p) || p < 0.0)
                     fatal("parseText: bad leaf distribution at node %zu",
                           count);
-            circuit.addLeaf(var, std::move(dist));
+                values.push_back(p);
+            }
+            if (!positiveFiniteTotal())
+                fatal("parseText: leaf mass not finite and positive at "
+                      "node %zu",
+                      count);
+            circuit.addLeaf(var, values);
         } else if (tag == "p" || tag == "s") {
             bool sum = tag == "s";
             size_t k;
             if (!(is >> k) || k == 0)
                 fatal("parseText: bad arity at node %zu", count);
-            std::vector<NodeId> children(k);
-            std::vector<double> weights(sum ? k : 0);
             for (size_t i = 0; i < k; ++i) {
                 unsigned long long c;
                 if (!(is >> c) || c >= count)
                     fatal("parseText: bad child reference at node %zu",
                           count);
-                children[i] = NodeId(c);
-                if (sum && (!(is >> weights[i]) || weights[i] < 0.0))
+                children.push_back(NodeId(c));
+                if (!sum)
+                    continue;
+                double w;
+                if (!(is >> w) || w < 0.0)
                     fatal("parseText: bad sum weight at node %zu", count);
+                values.push_back(w);
             }
-            if (sum)
-                circuit.addSum(std::move(children), std::move(weights));
-            else
-                circuit.addProduct(std::move(children));
+            if (!sum) {
+                circuit.addProduct(children);
+            } else {
+                if (!positiveFiniteTotal())
+                    fatal("parseText: sum weights not finite and positive "
+                          "at node %zu",
+                          count);
+                circuit.addSum(children, values);
+            }
         } else {
             fatal("parseText: unknown node tag '%s'", tag.c_str());
         }

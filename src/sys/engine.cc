@@ -31,7 +31,6 @@ queueOptionsFrom(const ServeOptions &options)
     QueueOptions q;
     q.capacity = options.queueCapacity;
     q.policy = options.queuePolicy;
-    q.autoLinger = options.autoLingerWindow;
     return q;
 }
 
@@ -148,29 +147,15 @@ ReasonEngine::ReasonEngine(const ServeOptions &options)
         options_.dispatchers = 1;
     if (options_.startPaused)
         queue_.pause();
-    // Disjoint pin layout: dispatcher d occupies the contiguous core
-    // block [base, base + poolThreads).  The dispatcher thread takes
-    // the block's first core — it is worker 0 of its own pool (the
-    // parallelFor caller) — and the pool's spawned workers take the
-    // rest, so pools of different dispatchers never stack on the same
-    // low core indices.
-    unsigned pin_base = 0;
     for (unsigned d = 0; d < options_.dispatchers; ++d) {
         auto disp = std::make_unique<Dispatcher>();
-        disp->evalPool = std::make_unique<util::ThreadPool>(
-            options_.serveThreads, options_.pinThreads, pin_base);
-        disp->pinCore = pin_base;
-        pin_base += disp->evalPool->numThreads();
+        disp->evalPool =
+            std::make_unique<util::ThreadPool>(options_.serveThreads);
         dispatchers_.push_back(std::move(disp));
     }
-    for (unsigned d = 0; d < options_.dispatchers; ++d) {
-        Dispatcher *disp = dispatchers_[d].get();
-        disp->thread = std::thread([this, disp] {
-            if (options_.pinThreads)
-                util::pinCurrentThreadToCore(disp->pinCore);
-            workerLoop(*disp);
-        });
-    }
+    for (auto &disp : dispatchers_)
+        disp->thread = std::thread(
+            [this, d = disp.get()] { workerLoop(*d); });
 }
 
 ReasonEngine::~ReasonEngine()
@@ -236,8 +221,7 @@ ReasonEngine::workerLoop(Dispatcher &disp)
 {
     for (;;) {
         std::vector<std::shared_ptr<Request>> group =
-            queue_.popGroup(options_.maxBatch,
-                            options_.maxCoalesceWindowUs);
+            queue_.popGroup(options_.maxBatch);
         if (group.empty())
             return; // shutdown
         // Fault-injection hook: a configured plan may stall this

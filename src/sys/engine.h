@@ -12,9 +12,11 @@
  * are keyed by their structural lowering fingerprint
  * (pc::cachedLowering), so independent sessions over structurally
  * identical circuits share batches — and execute each coalesced group
- * as one blocked SoA evaluation on pc::CircuitEvaluator.  The queue
- * provides bounded admission with overload shedding, per-session
- * fairness, and optional linger autotuning (see request_queue.h).
+ * as one blocked SoA evaluation on pc::CircuitEvaluator.  Dispatch is
+ * greedy: a dispatcher takes whatever its shard's backlog holds, up to
+ * maxBatch rows, and never waits for late arrivals.  The queue
+ * provides bounded admission with overload shedding and per-session
+ * fairness (see request_queue.h).
  *
  * **Determinism contract.**  Every row is evaluated through the one
  * canonical SIMD block kernel of
@@ -81,13 +83,6 @@ struct ServeOptions
      */
     unsigned maxBatch = 64;
     /**
-     * How long (microseconds) a dispatch lingers for same-key late
-     * arrivals when the group is below maxBatch.  0 (default)
-     * dispatches greedily: coalescing then comes purely from backlog,
-     * which adds no idle latency to lightly loaded engines.
-     */
-    unsigned maxCoalesceWindowUs = 0;
-    /**
      * Worker count of the engine's evaluation pool (the blocked SoA
      * row-block parallelism of CircuitEvaluator).  0 selects hardware
      * concurrency.  Results are bit-identical for any value.
@@ -114,17 +109,6 @@ struct ServeOptions
     size_t queueCapacity = 0;
     /** What a full queue does with the overflow. */
     QueuePolicy queuePolicy = QueuePolicy::RejectNew;
-    /**
-     * Autotune the coalesce linger window from EWMAs of request
-     * inter-arrival time and batch execution time; the configured
-     * maxCoalesceWindowUs then acts as the cap (default cap when 0).
-     */
-    bool autoLingerWindow = false;
-    /**
-     * Pin dispatcher threads and evaluation-pool workers to cores
-     * (best effort; a no-op on platforms without affinity support).
-     */
-    bool pinThreads = false;
 };
 
 /**
@@ -395,8 +379,6 @@ class ReasonEngine
         std::vector<pc::Assignment> groupRows;
         std::vector<double> groupOut;
         std::unique_ptr<util::ThreadPool> evalPool;
-        /** First core of this dispatcher's pin block (pinThreads). */
-        unsigned pinCore = 0;
         std::thread thread;
     };
 

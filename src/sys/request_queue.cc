@@ -25,20 +25,6 @@ steadyTimePoint(uint64_t ns)
         std::chrono::nanoseconds(ns));
 }
 
-/** EWMA smoothing factor for arrival/execution tracking. */
-constexpr double kEwmaAlpha = 0.2;
-
-/** Linger cap when autotuning is on but no explicit window is set. */
-constexpr unsigned kAutoLingerCapUs = 1000;
-
-double
-ewma(double current, double sample)
-{
-    return current <= 0.0
-               ? sample
-               : current + kEwmaAlpha * (sample - current);
-}
-
 /** Nearest-rank percentile of an already-sorted sample. */
 double
 percentileSorted(const std::vector<double> &sorted, double q)
@@ -107,8 +93,7 @@ RequestQueue::notifyUnlocked(std::unique_lock<std::mutex> &lock,
 void
 RequestQueue::readyShardLocked(const ShardKey &key, Shard &shard)
 {
-    reasonAssert(!shard.inReady && !shard.inService,
-                 "readying a held shard");
+    reasonAssert(!shard.inReady, "readying a ready shard");
     shard.inReady = true;
     ready_.push_back(key);
     workCv_.notify_all();
@@ -120,8 +105,7 @@ RequestQueue::eraseShardIfIdleLocked(ShardMap::iterator it)
     if (it == shards_.end())
         return;
     Shard &shard = it->second;
-    if (shard.pendingRequests == 0 && !shard.inService &&
-        !shard.inReady)
+    if (shard.pendingRequests == 0 && !shard.inReady)
         shards_.erase(it);
 }
 
@@ -249,9 +233,8 @@ RequestQueue::sweepExpiredLocked(uint64_t now)
             }
         }
         // Idle shard entries left behind by the sweep can be erased
-        // unless a dispatcher holds them (inService) or a stale ready_
-        // entry still references them (popGroup handles gathering
-        // nothing from those).
+        // unless a stale ready_ entry still references them (popGroup
+        // handles gathering nothing from those).
         auto cur = sit++;
         eraseShardIfIdleLocked(cur);
     }
@@ -262,18 +245,11 @@ RequestQueue::sweepExpiredLocked(uint64_t now)
 void
 RequestQueue::failAllQueuedLocked(int error, uint64_t now)
 {
-    // Fail queued work but keep the shard entries themselves: a
-    // dispatcher lingering inside popGroup holds a reference into the
-    // map across its timed wait, so entries must stay stable here.
-    for (auto &entry : shards_) {
-        Shard &shard = entry.second;
-        for (Lane &lane : shard.lanes)
+    for (auto &entry : shards_)
+        for (Lane &lane : entry.second.lanes)
             for (const std::shared_ptr<Request> &r : lane.queue)
                 failLocked(r, error, now);
-        shard.lanes.clear();
-        shard.pendingRequests = 0;
-        shard.inReady = false;
-    }
+    shards_.clear();
     ready_.clear();
     age_.clear();
     totalPending_ = 0;
@@ -319,11 +295,6 @@ RequestQueue::pushLocked(const std::shared_ptr<Request> &request)
         }
     }
 
-    if (lastArrivalNs_ != 0)
-        ewmaInterArrivalNs_ =
-            ewma(ewmaInterArrivalNs_, double(now - lastArrivalNs_));
-    lastArrivalNs_ = now;
-
     const ShardKey key{request->groupKey, request->mode};
     Shard &shard = shards_[key];
     Lane *lane = nullptr;
@@ -349,11 +320,8 @@ RequestQueue::pushLocked(const std::shared_ptr<Request> &request)
     stats_.maxQueueDepth =
         std::max<uint64_t>(stats_.maxQueueDepth, totalPending_);
 
-    if (!shard.inService && !shard.inReady)
+    if (!shard.inReady)
         readyShardLocked(key, shard);
-    // Wake lingering pops of this shard too (they hold it inService
-    // and gather on every wakeup).
-    workCv_.notify_all();
 }
 
 void
@@ -403,33 +371,8 @@ RequestQueue::gatherLocked(Shard &shard,
     }
 }
 
-unsigned
-RequestQueue::effectiveLingerLocked(size_t rowCount, size_t maxRows,
-                                    unsigned lingerUs)
-{
-    unsigned effective = lingerUs;
-    if (options_.autoLinger) {
-        const unsigned capUs =
-            lingerUs > 0 ? lingerUs : kAutoLingerCapUs;
-        effective = 0;
-        if (ewmaInterArrivalNs_ > 0.0 && ewmaExecNs_ > 0.0 &&
-            rowCount < maxRows) {
-            // Expected time for arrivals to fill the remaining batch
-            // slots; linger only while that wait is small next to the
-            // batch execution it would amortize.
-            const double fill_ns =
-                ewmaInterArrivalNs_ * double(maxRows - rowCount);
-            if (fill_ns < ewmaExecNs_)
-                effective = unsigned(std::min(
-                    fill_ns / 1000.0, double(capUs)));
-        }
-    }
-    lastLingerUs_ = double(effective);
-    return effective;
-}
-
 std::vector<std::shared_ptr<Request>>
-RequestQueue::popGroup(size_t maxRows, unsigned lingerUs)
+RequestQueue::popGroup(size_t maxRows)
 {
     if (maxRows == 0)
         maxRows = 1;
@@ -466,53 +409,18 @@ RequestQueue::popGroup(size_t maxRows, unsigned lingerUs)
         reasonAssert(sit != shards_.end(), "ready shard missing");
         Shard &shard = sit->second;
         shard.inReady = false;
-        shard.inService = true;
 
         std::vector<std::shared_ptr<Request>> group;
         size_t rowCount = 0;
         gatherLocked(shard, group, rowCount, maxRows);
-        if (group.empty()) {
-            // Shedding emptied the shard after it was readied.
-            shard.inService = false;
-            eraseShardIfIdleLocked(sit);
-            continue;
-        }
-
-        const unsigned effLinger =
-            effectiveLingerLocked(rowCount, maxRows, lingerUs);
-        if (effLinger > 0 && rowCount < maxRows && !shutdown_ &&
-            !paused_) {
-            // Linger for matching late arrivals.  Spurious wakeups
-            // only re-run the gather; the deadline bounds the added
-            // latency.  A pause() ends the linger without gathering
-            // further — work submitted during a pause must stay held
-            // for the resume.  The shard stays inService, so no other
-            // dispatcher can race this pop for its lanes.
-            const auto deadline =
-                std::chrono::steady_clock::now() +
-                std::chrono::microseconds(effLinger);
-            while (rowCount < maxRows && !shutdown_ && !paused_) {
-                const bool timed_out =
-                    workCv_.wait_until(lock, deadline) ==
-                    std::cv_status::timeout;
-                if (!paused_ && !shutdown_)
-                    gatherLocked(shard, group, rowCount, maxRows);
-                if (timed_out)
-                    break;
-            }
-        }
-
-        // Release the shard for concurrent pops.  Re-readying goes
-        // behind other ready shards — that is the cross-fingerprint
-        // fairness.  (`shard` stayed valid across the linger waits: map
-        // references survive rehashes, and only the inService holder
-        // may erase a shard — but `sit` may not have, so re-find
-        // before erasing.)
-        shard.inService = false;
+        // Re-readying goes behind other ready shards — that is the
+        // cross-fingerprint fairness.
         if (shard.pendingRequests > 0)
             readyShardLocked(key, shard);
         else
-            eraseShardIfIdleLocked(shards_.find(key));
+            shards_.erase(sit);
+        if (group.empty())
+            continue; // shed, cancelled or expired since it was readied
 
         const uint64_t started = nowNs();
         for (const auto &r : group) {
@@ -522,7 +430,7 @@ RequestQueue::popGroup(size_t maxRows, unsigned lingerUs)
         running_ += group.size();
         stats_.batches += 1;
         batchedRows_ += rowCount;
-        notifyUnlocked(lock); // requests the gathers expired
+        notifyUnlocked(lock); // requests the gather expired
         return group;
     }
 }
@@ -562,9 +470,6 @@ RequestQueue::complete(const std::vector<std::shared_ptr<Request>> &group)
         ++stats_.executed;
         recordLatencyLocked(double(done - r->enqueuedNs) / 1e6);
     }
-    if (!group.empty() && group.front()->startedNs > 0)
-        ewmaExecNs_ = ewma(ewmaExecNs_,
-                           double(done - group.front()->startedNs));
     doneCv_.notify_all();
     notifyUnlocked(lock);
 }
@@ -656,9 +561,6 @@ RequestQueue::pause()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     paused_ = true;
-    // Wake lingering pops so they dispatch what they already gathered
-    // instead of sleeping out their window.
-    workCv_.notify_all();
 }
 
 void
@@ -686,9 +588,6 @@ RequestQueue::stats() const
         out.meanLatencyMs =
             double(totalLatencyNs_) / double(out.executed) * 1e-6;
     }
-    out.ewmaInterArrivalUs = ewmaInterArrivalNs_ / 1000.0;
-    out.ewmaExecUs = ewmaExecNs_ / 1000.0;
-    out.lastLingerUs = lastLingerUs_;
     if (!reservoir_.empty()) {
         std::vector<double> sorted = reservoir_;
         std::sort(sorted.begin(), sorted.end());

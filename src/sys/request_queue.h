@@ -27,10 +27,10 @@
  *    get an answer, the queue never grows without bound.
  *  - **Stateless shards.**  Executing a group mutates no session
  *    state, so several dispatchers may drain one shard concurrently.
- *  - **Linger autotuning.**  The queue tracks EWMAs of request
- *    inter-arrival time and batch execution time; when enabled, the
- *    coalesce linger window is derived from them (wait only while the
- *    expected fill time is cheap next to the execution it amortizes).
+ *  - **Greedy, atomic pops.**  A pop takes the oldest ready shard,
+ *    gathers what its backlog holds and releases it in one critical
+ *    section; it never waits for late arrivals.  Coalescing comes
+ *    from backlog alone.
  *
  * Every state transition happens under one mutex so poll/wait observe
  * a consistent lifecycle, and shedding/fairness decisions are atomic
@@ -85,7 +85,11 @@ enum ReasonMode : int
 enum ReasonError : int
 {
     REASON_OK = 0,
-    /** batch_size <= 0, or an empty row set. */
+    /**
+     * batch_size <= 0, or an empty row set — or, at the wire layer, a
+     * Submit with more rows than one Result frame can carry
+     * (wire::validateSubmit).
+     */
     REASON_ERR_BAD_BATCH = -1,
     /** Null neural or symbolic buffer. */
     REASON_ERR_NULL_BUFFER = -2,
@@ -142,18 +146,12 @@ enum class QueuePolicy : uint8_t
     ShedOldest = 1
 };
 
-/** Admission-control and autotuning knobs of the queue. */
+/** Admission-control knobs of the queue. */
 struct QueueOptions
 {
     /** Max pending requests; 0 = unbounded (no shedding). */
     size_t capacity = 0;
     QueuePolicy policy = QueuePolicy::RejectNew;
-    /**
-     * Derive the coalesce linger window from the arrival/execution
-     * EWMAs instead of using the configured window verbatim (the
-     * configured window then acts as the upper cap).
-     */
-    bool autoLinger = false;
 };
 
 /** Lifecycle of a request inside the engine. */
@@ -320,11 +318,6 @@ struct EngineStats
      */
     double p50LatencyMs = 0.0;
     double p99LatencyMs = 0.0;
-    /** Linger-autotune telemetry (EWMAs; zero until enough traffic). */
-    double ewmaInterArrivalUs = 0.0;
-    double ewmaExecUs = 0.0;
-    /** Most recent effective linger window a pop used. */
-    double lastLingerUs = 0.0;
 };
 
 /** Latency samples kept for the p50/p99 estimate (Algorithm R). */
@@ -337,10 +330,10 @@ inline constexpr size_t kLatencyReservoirSize = 2048;
  *
  * Clients push requests and wait on completion; any number of
  * dispatchers pop coalesced groups concurrently.  popGroup picks the
- * oldest ready shard, gathers up to `maxRows` rows round-robin across
- * its session lanes, and optionally lingers for late arrivals before
- * dispatching.  The first gathered request is always admitted even if
- * it alone exceeds maxRows (oversized explicit batches still run).
+ * oldest ready shard and gathers up to `maxRows` rows round-robin
+ * across its session lanes.  The first gathered request is always
+ * admitted even if it alone exceeds maxRows (oversized explicit
+ * batches still run).
  */
 class RequestQueue
 {
@@ -364,8 +357,7 @@ class RequestQueue
      * from any number of dispatcher threads; concurrent pops always
      * receive disjoint groups.
      */
-    std::vector<std::shared_ptr<Request>> popGroup(size_t maxRows,
-                                                   unsigned lingerUs);
+    std::vector<std::shared_ptr<Request>> popGroup(size_t maxRows);
 
     /**
      * Mark an executed group Done and release its waiters.
@@ -443,8 +435,6 @@ class RequestQueue
         size_t cursor = 0;
         /** Queued requests across all lanes. */
         size_t pendingRequests = 0;
-        /** A dispatcher holds this shard (gather/linger). */
-        bool inService = false;
         /** Shard is queued in ready_. */
         bool inReady = false;
     };
@@ -490,9 +480,6 @@ class RequestQueue
     void failAllQueuedLocked(int error, uint64_t now);
     /** Track the earliest pending deadline for deadline-aware waits. */
     void noteDeadlineLocked(uint64_t deadlineNs);
-    /** Effective linger window for a pop that gathered rowCount rows. */
-    unsigned effectiveLingerLocked(size_t rowCount, size_t maxRows,
-                                   unsigned lingerUs);
     void recordLatencyLocked(double latencyMs);
 
     QueueOptions options_;
@@ -503,7 +490,7 @@ class RequestQueue
     mutable std::condition_variable doneCv_;
 
     ShardMap shards_;
-    /** Shards with queued work and no holder, oldest readied first. */
+    /** Shards with queued work, oldest readied first. */
     std::deque<ShardKey> ready_;
     /**
      * Admission-ordered view of queued requests, kept only under
@@ -537,12 +524,6 @@ class RequestQueue
     uint64_t totalQueueNs_ = 0;
     /** Sum of enqueue-to-completion times over executed requests. */
     uint64_t totalLatencyNs_ = 0;
-
-    /** EWMA state for linger autotuning (nanoseconds). */
-    uint64_t lastArrivalNs_ = 0;
-    double ewmaInterArrivalNs_ = 0.0;
-    double ewmaExecNs_ = 0.0;
-    double lastLingerUs_ = 0.0;
 
     /** Fixed-size latency reservoir (Algorithm R, LCG replacement). */
     std::vector<double> reservoir_;

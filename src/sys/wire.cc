@@ -70,6 +70,17 @@ beginFrame(std::vector<uint8_t> &out, FrameType type)
     return len_at;
 }
 
+/**
+ * `length` of the Result frame appendResult writes for `rows` rows:
+ * type, id, error, tier and numRows, then each row's value bits and,
+ * on the approximate tier (tier 1), its (lo, hi) bound bits.
+ */
+uint64_t
+resultLength(bool approx, size_t rows)
+{
+    return 1 + 8 + 4 + 1 + 4 + uint64_t(rows) * (approx ? 24 : 8);
+}
+
 /** Bounded little-endian reader over one frame's payload. */
 struct Reader
 {
@@ -199,6 +210,12 @@ validateSubmit(const SubmitFrame &frame)
     if (frame.mode == uint32_t(REASON_MODE_PROBABILISTIC) &&
         frame.budget != 0.0)
         return REASON_ERR_BAD_BUDGET;
+    // The answer must fit one frame: a Result past kMaxFrameBytes
+    // poisons every decoder, so the client would lose the connection
+    // and the answer with it.
+    if (resultLength(frame.mode == uint32_t(REASON_MODE_APPROX),
+                     frame.rows.size()) > kMaxFrameBytes)
+        return REASON_ERR_BAD_BATCH;
     return REASON_OK;
 }
 

@@ -49,7 +49,9 @@
  * budget bits, and deadline — those are semantic properties, validated
  * server-side by validateSubmit(), which maps violations to
  * REASON_ERR_BAD_MODE / REASON_ERR_BAD_BUDGET result frames instead
- * of poisoning the stream.  Result's tier byte is 0 (exact) or 1
+ * of poisoning the stream.  It also refuses, with
+ * REASON_ERR_BAD_BATCH, a Submit whose Result would exceed
+ * kMaxFrameBytes.  Result's tier byte is 0 (exact) or 1
  * (approximate, bounds appended); any other tier is a framing
  * violation.  Ping/Pong carry an opaque token so heartbeats can be
  * matched to their echo across pipelined traffic.
@@ -226,9 +228,12 @@ class FrameDecoder
  * wire layer accepts any mode/budget bits so one bad client request
  * cannot poison the stream; the server maps violations to an error
  * Result on the same connection.  Returns REASON_OK,
- * REASON_ERR_BAD_MODE (mode is neither exact nor approximate), or
+ * REASON_ERR_BAD_MODE (mode is neither exact nor approximate),
  * REASON_ERR_BAD_BUDGET (NaN/infinite/negative budget, or a nonzero
- * budget on the exact mode).
+ * budget on the exact mode), or REASON_ERR_BAD_BATCH (more rows than
+ * one Result frame can answer within kMaxFrameBytes: 2,097,149 on the
+ * exact tier, 8 bytes per row; 699,049 on the approximate tier, 24
+ * bytes per row with its bounds).
  */
 int validateSubmit(const SubmitFrame &frame);
 

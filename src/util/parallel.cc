@@ -3,35 +3,10 @@
 #include <algorithm>
 #include <memory>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace reason {
 namespace util {
 
-bool
-pinCurrentThreadToCore(unsigned core)
-{
-#if defined(__linux__)
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(core % hw, &set);
-    return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) ==
-           0;
-#else
-    (void)core;
-    return false;
-#endif
-}
-
-ThreadPool::ThreadPool(unsigned threads, bool pin_threads,
-                       unsigned pin_base)
-    : pinThreads_(pin_threads), pinBase_(pin_base)
+ThreadPool::ThreadPool(unsigned threads)
 {
     if (threads == 0) {
         threads = std::thread::hardware_concurrency();
@@ -57,8 +32,6 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::workerLoop(unsigned worker_index)
 {
-    if (pinThreads_)
-        pinCurrentThreadToCore(pinBase_ + worker_index);
     uint64_t seen = 0;
     for (;;) {
         RangeFn fn;

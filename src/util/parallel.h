@@ -47,16 +47,9 @@ class ThreadPool
     /**
      * Create a pool with `threads` total workers including the calling
      * thread (so `threads - 1` OS threads are spawned).  `threads == 0`
-     * uses std::thread::hardware_concurrency().  With `pin_threads`,
-     * each spawned worker pins itself to core `(pin_base +
-     * worker_index) mod hardware_concurrency` (best effort — see
-     * pinCurrentThreadToCore; the calling thread is never pinned by
-     * the pool).  Owners of several pools pass distinct `pin_base`
-     * offsets so pools occupy disjoint core blocks instead of all
-     * stacking on cores 0..threads-1 (see ReasonEngine).
+     * uses std::thread::hardware_concurrency().
      */
-    explicit ThreadPool(unsigned threads = 0, bool pin_threads = false,
-                        unsigned pin_base = 0);
+    explicit ThreadPool(unsigned threads = 0);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -107,9 +100,6 @@ class ThreadPool
     /** Workers still to finish the current job (or acknowledge skip). */
     unsigned pending_ = 0;
     bool shutdown_ = false;
-    bool pinThreads_ = false;
-    /** First core of this pool's pin block (worker w -> base + w). */
-    unsigned pinBase_ = 0;
     /** Current job (valid while pending_ > 0). */
     RangeFn jobFn_ = nullptr;
     void *jobCtx_ = nullptr;
@@ -146,16 +136,6 @@ unsigned globalThreads();
  */
 inline constexpr unsigned kMaxThreads = 1024;
 bool parseThreadCount(const char *text, unsigned *out);
-
-/**
- * Pin the calling thread to core `core mod hardware_concurrency`
- * (NUMA/affinity knob of the serving engine and thread pools).  Best
- * effort: returns true when the affinity call succeeded, false where
- * the platform has no thread-affinity support (a no-op there) or the
- * call failed.  Results never depend on pinning — it only affects
- * locality.
- */
-bool pinCurrentThreadToCore(unsigned core);
 
 /**
  * Process-wide policy for sample-sharded learning reductions (EM flow

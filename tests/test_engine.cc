@@ -502,31 +502,6 @@ TEST(CompatShim, DistinctErrorCodes)
 }
 
 // ---------------------------------------------------------------------------
-// Coalescing window (linger) still preserves results.
-// ---------------------------------------------------------------------------
-
-TEST(EngineWindow, LingerCoalescesLateArrivalsDeterministically)
-{
-    Rng rng(115);
-    pc::Circuit circuit = pc::randomCircuit(rng, 16, 2, 3, 6);
-    std::vector<pc::Assignment> rows = sampleRows(rng, circuit, 24);
-    std::vector<double> reference = serveOneAtATime(circuit, rows);
-
-    ServeOptions options;
-    options.maxBatch = 32;
-    options.maxCoalesceWindowUs = 2000;
-    ReasonEngine engine(options);
-    Session session = engine.createSession(circuit);
-    std::vector<RequestHandle> handles;
-    for (const pc::Assignment &x : rows)
-        handles.push_back(session.submit(x));
-    for (size_t i = 0; i < rows.size(); ++i)
-        EXPECT_TRUE(bitEqual(session.wait(handles[i])->outputs[0],
-                             reference[i]))
-            << i;
-}
-
-// ---------------------------------------------------------------------------
 // Completion callbacks.
 // ---------------------------------------------------------------------------
 
@@ -607,7 +582,7 @@ TEST(EngineCallbacks, QueueFiresOnceOnEveryTerminalPath)
     {   // Dispatched and completed.
         auto q = fresh();
         q->push(queuedRequest(log, 1));
-        auto group = q->popGroup(8, 0);
+        auto group = q->popGroup(8);
         ASSERT_EQ(group.size(), 1u);
         EXPECT_EQ(log.get(1).calls, 0);
         group[0]->outputs = {-1.5};
@@ -632,14 +607,14 @@ TEST(EngineCallbacks, QueueFiresOnceOnEveryTerminalPath)
         log.expectOnce(4, REASON_ERR_DEADLINE_EXCEEDED);
     }
     {   // RejectNew at capacity.
-        auto q = fresh({1, QueuePolicy::RejectNew, false});
+        auto q = fresh({1, QueuePolicy::RejectNew});
         q->push(queuedRequest(log, 6));
         q->push(queuedRequest(log, 7));
         log.expectOnce(7, REASON_ERR_OVERLOAD);
         EXPECT_EQ(log.get(6).calls, 0);
     }
     {   // ShedOldest victim, completed on the pushing thread.
-        auto q = fresh({1, QueuePolicy::ShedOldest, false});
+        auto q = fresh({1, QueuePolicy::ShedOldest});
         q->push(queuedRequest(log, 8));
         q->push(queuedRequest(log, 9));
         log.expectOnce(8, REASON_ERR_OVERLOAD);
@@ -649,7 +624,7 @@ TEST(EngineCallbacks, QueueFiresOnceOnEveryTerminalPath)
         auto q = fresh();
         q->push(queuedRequest(log, 10));
         q->push(queuedRequest(log, 11, steadyNowNs() - 1));
-        auto group = q->popGroup(8, 0);
+        auto group = q->popGroup(8);
         ASSERT_EQ(group.size(), 1u);
         log.expectOnce(11, REASON_ERR_DEADLINE_EXCEEDED);
         q->complete(group);

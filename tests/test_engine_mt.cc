@@ -13,7 +13,6 @@
  *  - fairness: a flooding session cannot starve a light session —
  *    per-session lanes are drained round-robin, so the light rows
  *    start well before the flood's tail;
- *  - linger autotuning smoke: EWMAs populate and outputs stay exact;
  *  - wire protocol: encode/decode round-trips every frame type with
  *    bit-exact doubles, and malformed input (truncations, bad
  *    lengths, unknown types, random garbage) poisons the decoder
@@ -247,40 +246,6 @@ TEST(EngineMt, LightSessionNotStarvedByFloodingSession)
     // later.
     EXPECT_LT(light_last_start, flood_last_start)
         << "light session waited behind the flood";
-}
-
-// ---------------------------------------------------------------------------
-// Coalesce-linger autotuning smoke (EWMAs populate; bits unchanged).
-// ---------------------------------------------------------------------------
-
-TEST(EngineMt, AutoLingerTunesWithoutChangingBits)
-{
-    Rng rng(905);
-    pc::Circuit circuit = pc::randomCircuit(rng, 20, 2, 3, 6);
-    std::vector<pc::Assignment> rows =
-        pc::sampleDataset(rng, circuit, 40);
-    std::vector<double> reference = serveOneAtATime(circuit, rows);
-
-    ServeOptions options;
-    options.maxBatch = 8;
-    options.dispatchers = 2;
-    options.autoLingerWindow = true;
-    ReasonEngine engine(options);
-    Session session = engine.createSession(circuit);
-    std::vector<RequestHandle> handles;
-    for (const pc::Assignment &x : rows)
-        handles.push_back(session.submit(x));
-    for (size_t i = 0; i < rows.size(); ++i) {
-        std::shared_ptr<const Request> r = session.wait(handles[i]);
-        ASSERT_EQ(r->error, REASON_OK);
-        EXPECT_TRUE(bitEqual(r->outputs[0], reference[i]));
-    }
-    EngineStats stats = engine.stats();
-    // The EWMAs have seen real traffic; the tuned linger is clamped
-    // to a sane non-negative window.
-    EXPECT_GT(stats.ewmaExecUs, 0.0);
-    EXPECT_GE(stats.ewmaInterArrivalUs, 0.0);
-    EXPECT_GE(stats.lastLingerUs, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -843,6 +808,23 @@ TEST(WireProtocol, ValidateSubmitMapsSemanticViolationsToErrors)
     EXPECT_EQ(wire::validateSubmit(
                   frame(uint32_t(REASON_MODE_PROBABILISTIC), -0.0)),
               REASON_OK);
+    // The answer must fit one frame: a Result is 18 bytes plus 8 per
+    // row, or 24 per row with the approximate tier's bounds, and
+    // kMaxFrameBytes is 16 MiB.  Only the row count matters, so the
+    // rows stay empty.
+    auto rows = [&](uint32_t mode, size_t n) {
+        wire::SubmitFrame f = frame(mode, 0.0);
+        f.rows.resize(n);
+        return f;
+    };
+    const uint32_t exact = uint32_t(REASON_MODE_PROBABILISTIC);
+    const uint32_t approx = uint32_t(REASON_MODE_APPROX);
+    EXPECT_EQ(wire::validateSubmit(rows(exact, 2097149)), REASON_OK);
+    EXPECT_EQ(wire::validateSubmit(rows(exact, 2097150)),
+              REASON_ERR_BAD_BATCH);
+    EXPECT_EQ(wire::validateSubmit(rows(approx, 699049)), REASON_OK);
+    EXPECT_EQ(wire::validateSubmit(rows(approx, 699050)),
+              REASON_ERR_BAD_BATCH);
 }
 
 TEST(WireProtocol, ResultBoundsRoundTripBitExact)

@@ -146,6 +146,24 @@ TEST(PcIo, RejectsMalformedInput)
                  "child reference");
     EXPECT_DEATH(pc::parseText("rpc 1\nvars 2 arity 2\nl 0 0.5 0.5\n"),
                  "missing root");
+    // Inputs that once tripped a Circuit assert, a sampler panic or an
+    // uncaught bad_alloc: each is a parseText error now.
+    EXPECT_DEATH(pc::parseText("rpc 1\nvars 1 arity 1\nl 0 1\nroot 0"),
+                 "parseText: malformed dimension");
+    EXPECT_DEATH(pc::parseText("rpc 1\nvars 1 arity 2\nl 0 0 0\nroot 0"),
+                 "parseText: leaf mass .* node 0");
+    EXPECT_DEATH(pc::parseText("rpc 1\nvars 1 arity 2\nl 0 1 0\n"
+                               "s 1 0 0\nroot 1"),
+                 "parseText: sum weights .* node 1");
+    EXPECT_DEATH(pc::parseText("rpc 1\nvars 1 arity 2\nl 0 1e308 1e308\n"
+                               "root 0"),
+                 "parseText: leaf mass .* node 0");
+    EXPECT_DEATH(pc::parseText("rpc 1\nvars 1 arity 2\nl 0 1 0\n"
+                               "p 999999999999 0\nroot 1"),
+                 "parseText: bad child reference at node 1");
+    EXPECT_DEATH(pc::parseText("rpc 1\nvars 1 arity 4000000000\n"
+                               "l 0 1 0\nroot 0"),
+                 "parseText: bad leaf distribution at node 0");
 }
 
 TEST(PcIo, TextIsHumanReadable)

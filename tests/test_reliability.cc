@@ -919,6 +919,44 @@ TEST(SocketLoop, EmptySubmitIsRefusedAndTheConnectionStays)
     EXPECT_TRUE(fx.server.stop());
 }
 
+TEST(SocketLoop, OversizeSubmitIsRefusedAndTheConnectionStays)
+{
+    // An approximate-tier answer takes 24 bytes per row, so 699,050
+    // rows would need a Result past wire::kMaxFrameBytes, which every
+    // decoder refuses.  The Submit itself fits: one variable per row.
+    Rng rng(1416);
+    pc::Circuit circuit = pc::randomCircuit(rng, 1, 2, 2, 2);
+    std::vector<pc::Assignment> rows = pc::sampleDataset(rng, circuit, 4);
+    std::vector<double> reference = serveOneAtATime(circuit, rows);
+    ServerFixture fx(circuit);
+    RawConn conn(fx.server.port());
+    ASSERT_TRUE(conn.hello());
+    wire::SubmitFrame big;
+    big.id = 7;
+    big.mode = uint32_t(REASON_MODE_APPROX);
+    big.budget = 1e-3;
+    big.numVars = circuit.numVars();
+    big.rows.assign(699050, rows[0]);
+    std::vector<uint8_t> out;
+    wire::appendSubmit(out, big);
+    appendSubmit(out, 8, rows, circuit.numVars());
+    ASSERT_TRUE(conn.send(out));
+    wire::Frame frame;
+    ASSERT_TRUE(conn.read(&frame)) << "no framable answer";
+    ASSERT_EQ(frame.type, wire::FrameType::Result);
+    EXPECT_EQ(frame.result.id, 7u);
+    EXPECT_EQ(frame.result.error, REASON_ERR_BAD_BATCH);
+    EXPECT_TRUE(frame.result.values.empty());
+    ASSERT_TRUE(conn.read(&frame)) << "connection lost after the error";
+    ASSERT_EQ(frame.type, wire::FrameType::Result);
+    EXPECT_EQ(frame.result.id, 8u);
+    ASSERT_EQ(frame.result.error, REASON_OK);
+    ASSERT_EQ(frame.result.values.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i)
+        EXPECT_TRUE(bitEqual(frame.result.values[i], reference[i])) << i;
+    EXPECT_TRUE(fx.server.stop());
+}
+
 TEST(SocketLoop, IdleTimeoutClosesOnlyConnectionsOwedNothing)
 {
     Rng rng(1421);

@@ -40,19 +40,19 @@
  *       budget runs the approximate tier (pc::ApproxEvaluator) and
  *       prints each certified [lo, hi] bound next to the value.
  *
- *   serve <file.rpc> [--listen PORT] [--max-batch N] [--window-us N]
+ *   serve <file.rpc> [--listen PORT] [--max-batch N]
  *         [--serve-threads N] [--dispatchers N] [--capacity N]
- *         [--policy reject|shed] [--auto-window] [--pin]
- *         [--max-budget X] [--fault-plan SPEC] [--idle-timeout-ms N]
- *         [--drain-ms N]
+ *         [--policy reject|shed] [--max-budget X] [--fault-plan SPEC]
+ *         [--idle-timeout-ms N] [--drain-ms N]
  *       Serve likelihood queries against a stored circuit over the
  *       length-prefixed binary wire protocol (sys/wire.h, v3) on a
  *       loopback TCP socket (--listen 0, the default, binds an
  *       ephemeral port; the `listening on` line reports it).
  *       sys::SocketServer runs one poll() loop that pipelines every
  *       connection's Submits into the async batch-serving engine
- *       (sys::ReasonEngine), which coalesces them into batched SoA
- *       evaluations: one engine session per connection,
+ *       (sys::ReasonEngine), whose dispatchers greedily coalesce
+ *       whatever is queued into batched SoA evaluations of at most
+ *       --max-batch rows: one engine session per connection,
  *       idempotent-retry duplicate suppression, Ping/Pong heartbeats.
  *       It serves until SIGINT/SIGTERM triggers a graceful drain
  *       (--drain-ms deadline; exit 0 iff clean) whose summary line
@@ -163,10 +163,9 @@ usage()
         "  query <file.rpc> [--budget X] [--rows N] [--seed N]\n"
         "      [--missing-pct N]\n"
         "  serve <file.rpc> [--listen PORT] [--max-batch N]\n"
-        "      [--window-us N] [--serve-threads N] [--dispatchers N]\n"
-        "      [--capacity N] [--policy reject|shed] [--auto-window]\n"
-        "      [--pin] [--max-budget X] [--fault-plan SPEC]\n"
-        "      [--idle-timeout-ms N] [--drain-ms N]\n"
+        "      [--serve-threads N] [--dispatchers N] [--capacity N]\n"
+        "      [--policy reject|shed] [--max-budget X]\n"
+        "      [--fault-plan SPEC] [--idle-timeout-ms N] [--drain-ms N]\n"
         "  bench-client <file.rpc> --port N [--host H] [--requests N]\n"
         "      [--clients N] [--pipeline N] [--seed N] [--budget X]\n"
         "      [--retries N] [--deadline-ms N] [--client-id N]\n"
@@ -1109,13 +1108,10 @@ int
 cmdServe(const std::vector<std::string> &args)
 {
     uint64_t max_batch = 64;
-    uint64_t window_us = 0;
     uint64_t serve_threads = 1;
     uint64_t dispatchers = 1;
     uint64_t capacity = 0;
     std::string policy_text = "reject";
-    bool auto_window = false;
-    bool pin_threads = false;
     uint64_t listen_port = 0;
     uint64_t idle_timeout_ms = 0;
     uint64_t drain_ms = 5000;
@@ -1128,9 +1124,8 @@ cmdServe(const std::vector<std::string> &args)
                  "loopback TCP port (default 0: an ephemeral port, "
                  "printed on the `listening on` line)"),
         countOpt("--max-batch", 1, 1u << 20, &max_batch,
-                 "most rows per coalesced evaluation"),
-        countOpt("--window-us", 0, 1u << 30, &window_us,
-                 "linger for same-key late arrivals (microseconds)"),
+                 "most rows per coalesced evaluation (a dispatcher "
+                 "takes what is queued and never waits to fill one)"),
         countOpt("--serve-threads", 0, util::kMaxThreads,
                  &serve_threads,
                  "engine evaluation pool workers (0 = hardware)"),
@@ -1140,10 +1135,6 @@ cmdServe(const std::vector<std::string> &args)
                  "queue capacity before shedding (0 = unbounded)"),
         textOpt("--policy", &policy_text,
                 "full-queue policy: reject (new) or shed (oldest)"),
-        flagOpt("--auto-window", &auto_window,
-                "autotune the linger window from arrival/exec EWMAs"),
-        flagOpt("--pin", &pin_threads,
-                "pin dispatcher and eval threads to cores"),
         realOpt("--max-budget", &max_budget,
                 "largest accuracy budget accepted over the wire "
                 "(default: uncapped)"),
@@ -1176,13 +1167,10 @@ cmdServe(const std::vector<std::string> &args)
 
     sys::ServeOptions serve;
     serve.maxBatch = unsigned(max_batch);
-    serve.maxCoalesceWindowUs = unsigned(window_us);
     serve.serveThreads = unsigned(serve_threads);
     serve.dispatchers = unsigned(dispatchers);
     serve.queueCapacity = size_t(capacity);
     serve.queuePolicy = policy;
-    serve.autoLingerWindow = auto_window;
-    serve.pinThreads = pin_threads;
 
     // A fault plan makes the serving stack misbehave on purpose;
     // static because the installation is process-global and must
