@@ -681,7 +681,7 @@ baumWelch(Hmm &hmm, const std::vector<Sequence> &data,
         // With shards == 1 this is exactly the legacy serial fold.
         util::shardSlices(
             *pool, data.size(), shards,
-            [&](size_t s, size_t lo, size_t hi) {
+            [&](size_t s, size_t lo, size_t hi, unsigned) {
                 BwStats &st = stats[s];
                 st.reset(N, M);
                 for (size_t q = lo; q < hi; ++q) {

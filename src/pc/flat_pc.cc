@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "core/flat.h"
 #include "util/logging.h"
@@ -150,6 +149,7 @@ deriveProgram(const FlatCircuit &flat, std::vector<uint32_t> outputs)
     FlatCircuit::RootProgram prog;
     prog.op.resize(num_ops);
     prog.arg.resize(num_ops);
+    prog.node.resize(num_ops);
     prog.operand.resize(num_operands);
     prog.weightMant.resize(num_weights);
     std::vector<uint32_t> free_slots;
@@ -190,6 +190,7 @@ deriveProgram(const FlatCircuit &flat, std::vector<uint32_t> outputs)
         }
         mark[i].slot = dst;
         prog.op[op] = kind << simd::SlotProgram::kKindShift | dst;
+        prog.node[op] = uint32_t(i);
         prog.arg[op++] = arg;
     }
     prog.outputSlot.reserve(outputs.size());
@@ -264,6 +265,29 @@ FlatCircuit::programView() const
     return view;
 }
 
+simd::FlowProgram
+FlatCircuit::flowView() const
+{
+    static_assert(kLeaf == simd::SlotProgram::kLeaf &&
+                      kSum == simd::SlotProgram::kSum &&
+                      kProduct == simd::SlotProgram::kProduct,
+                  "the flow kernel reads node types as op kinds");
+    reasonAssert(parentOffset.size() == numNodes() + 1,
+                 "flow pass needs the parent transpose");
+    reasonAssert(program.outputs.size() == 1 && program.outputs[0] == root,
+                 "flow pass needs a program whose output is the root");
+    simd::FlowProgram view;
+    view.up = programView();
+    view.opNode = program.node.data();
+    view.nodeType = types.data();
+    view.parentOffset = parentOffset.data();
+    view.parentNode = parentNode.data();
+    view.parentEdge = parentEdge.data();
+    view.edgeLogWeight = edgeLogWeight.data();
+    view.numNodes = numNodes();
+    return view;
+}
+
 void
 FlatCircuit::finalizeTopology()
 {
@@ -282,7 +306,6 @@ FlatCircuit::finalizeTopology()
         parentOffset[i] += parentOffset[i - 1];
     parentEdge.resize(m);
     parentNode.resize(m);
-    parentLogWeight.resize(m);
     {
         std::vector<uint32_t> cursor(parentOffset.begin(),
                                      parentOffset.end() - 1);
@@ -291,7 +314,6 @@ FlatCircuit::finalizeTopology()
                 const uint32_t k = cursor[edgeTarget[e]]++;
                 parentEdge[k] = e;
                 parentNode[k] = uint32_t(i);
-                parentLogWeight[k] = edgeLogWeight[e];
             }
     }
 
@@ -572,8 +594,8 @@ logDerivativesInto(const FlatCircuit &flat, std::span<const double> logv,
     // every thread count (a 1-thread pool runs it inline, so results
     // are trivially bit-identical across thread counts).  Levels are
     // walked top-down; each node gathers its incoming derivative terms
-    // from its finalized parents through the flattened transpose
-    // streams into a contiguous stripe (stored descending-parent
+    // from its finalized parents through the transpose
+    // into a contiguous stripe (stored descending-parent
     // order), then reduces them with the canonical two-pass SIMD
     // logsumexp (-inf terms are exact identities).  One writer per
     // logd entry, no atomics.  When a node turns out to be a product
@@ -603,7 +625,8 @@ logDerivativesInto(const FlatCircuit &flat, std::span<const double> logv,
 
     const uint32_t *poff = flat.parentOffset.data();
     const uint32_t *psrc = flat.parentNode.data();
-    const double *plw = flat.parentLogWeight.data();
+    const uint32_t *pedge = flat.parentEdge.data();
+    const double *lw = flat.edgeLogWeight.data();
     double *d = logd.data();
     const simd::KernelTable &kernels = simd::activeKernels();
     // Per-node kernel, shared by both traversals below: the result
@@ -618,8 +641,9 @@ logDerivativesInto(const FlatCircuit &flat, std::span<const double> logv,
             double t = kLogZero; // masked: exact identity
             if (dp != kLogZero) {
                 if (types[p] == FlatCircuit::kSum) {
-                    if (plw[pe] != kLogZero)
-                        t = dp + plw[pe];
+                    const double w = lw[pedge[pe]];
+                    if (w != kLogZero)
+                        t = dp + w;
                 } else if (prod_zeros[p] == 0) {
                     t = dp + prod_sum[p] - logv[c];
                 } else if (prod_zeros[p] == 1 && logv[c] == kLogZero) {
@@ -656,117 +680,77 @@ logDerivativesInto(const FlatCircuit &flat, std::span<const double> logv,
             });
 }
 
+namespace {
+
+/**
+ * Size `scratch` as a block scratch of the flow kernel for `flat` (the
+ * program's slots, then one 8-lane pack per node) and fill every
+ * node's pack with what a node without flow shows its children: 0 for
+ * a product, -inf for a sum.  The kernel overwrites the packs of
+ * program nodes in every block and never touches the others.
+ */
+void
+initFlowScratch(const FlatCircuit &flat, std::vector<double> &scratch)
+{
+    constexpr size_t B = simd::kLanes;
+    const size_t slot_doubles =
+        flat.program.numSlots * simd::SlotProgram::kSlotDoubles;
+    scratch.resize(slot_doubles + flat.numNodes() * B);
+    double *pack = scratch.data() + slot_doubles;
+    for (size_t i = 0; i < flat.numNodes(); ++i, pack += B)
+        std::fill_n(pack, B,
+                    flat.types[i] == FlatCircuit::kSum ? kLogZero : 0.0);
+}
+
+} // namespace
+
 FlowAccumulator::FlowAccumulator(const FlatCircuit &flat,
-                                 util::ThreadPool *pool)
-    : flat_(flat), pool_(pool), eval_(flat, pool),
-      flow_(flat.numNodes(), 0.0),
-      edgeTotal_(flat.numEdges(), 0.0), nodeTotal_(flat.numNodes(), 0.0),
+                                 util::ThreadPool *)
+    : flat_(flat), edgeTotal_(flat.numEdges(), 0.0),
+      nodeTotal_(flat.numNodes(), 0.0),
       leafTotal_(flat.numLeaves() * flat.arity, 0.0)
 {
-    reasonAssert(flat.parentOffset.size() == flat.numNodes() + 1,
-                 "flow pass needs the parent transpose");
+    flat.flowView(); // asserts the transpose and a root-only program
 }
 
 void
 FlowAccumulator::add(const Assignment &x)
 {
-    ++count_;
-    std::span<const double> val = eval_.evaluate(x);
-    if (val[flat_.root] == kLogZero)
-        return; // zero-probability evidence carries no flow
+    if (scratch_.empty())
+        initFlowScratch(flat_, scratch_);
+    addRows(&x, 1, scratch_.data(), nullptr);
+}
 
-    const uint8_t *types = flat_.types.data();
-    const uint32_t *slot = flat_.leafSlot.data();
-    const uint32_t *var = flat_.leafVar.data();
-
-    util::ThreadPool &pool =
-        pool_ ? *pool_ : util::globalThreadPool();
-
-    // Downward pass: walk levels top-down and *gather* each node's
-    // flow from its finalized parents through the transpose — the one
-    // canonical kernel for every thread count (a 1-thread pool runs
-    // the same code inline).  Parents of a level-L node all sit in
-    // levels > L, so inside one level every node is independent;
-    // flow_[c], edgeTotal_[e] (one child per edge), nodeTotal_[c], and
-    // leafTotal_ rows each have a single writer.  Per node, the edge
-    // arguments are staged into a contiguous stripe and the exp is
-    // computed by the masked SIMD kernel (-inf encodes "no flow" and
-    // contributes an exact zero); the fold over the resulting flows
-    // keeps the stored descending-parent order, so totals are
-    // bit-identical for any thread count and SIMD backend.
-    const uint32_t *poff = flat_.parentOffset.data();
-    const uint32_t *pedge = flat_.parentEdge.data();
-    const uint32_t *psrc = flat_.parentNode.data();
-    const double *plw = flat_.parentLogWeight.data();
-    double *flow = flow_.data();
-    const double *valp = val.data();
-    const size_t stripe = std::max<uint32_t>(flat_.maxParentFanIn, 1);
-    const unsigned workers = pool.numThreads();
-    if (argScratch_.size() < stripe * workers) {
-        argScratch_.resize(stripe * workers);
-        scaleScratch_.resize(stripe * workers);
-        flowScratch_.resize(stripe * workers);
-    }
+void
+FlowAccumulator::addRows(const Assignment *xs, size_t num_rows,
+                         double *scratch, double *rowLog)
+{
+    constexpr size_t B = CircuitEvaluator::kBlock;
+    static_assert(B == simd::kLanes, "a block is one SIMD pack of rows");
+    const simd::FlowProgram view = flat_.flowView();
+    const simd::FlowTotals totals{edgeTotal_.data(), nodeTotal_.data(),
+                                  leafTotal_.data()};
+    // Runtime-selected kernels (util/simd_dispatch.h); every table
+    // gives the same bits.
     const simd::KernelTable &kernels = simd::activeKernels();
-    // Per-node kernel, shared by both traversals below: the result
-    // depends only on the (finalized) parents, not on traversal order.
-    auto gatherNode = [&](uint32_t c, double *args, double *scale,
-                          double *f) {
-        const uint32_t lo = poff[c];
-        const uint32_t cnt = poff[c + 1] - lo;
-        const double child_val = valp[c];
-        for (uint32_t j = 0; j < cnt; ++j) {
-            const uint32_t p = psrc[lo + j];
-            const double fp = flow[p];
-            if (types[p] == FlatCircuit::kProduct) {
-                // exp(0) == 1 exactly, so the kernel passes fp
-                // through unchanged — the product-edge flow.
-                args[j] = fp == 0.0 ? kLogZero : 0.0;
-            } else if (fp == 0.0 || plw[lo + j] == kLogZero ||
-                       child_val == kLogZero) {
-                args[j] = kLogZero; // masked: contributes exactly 0
-            } else {
-                args[j] = plw[lo + j] + child_val - valp[p];
-            }
-            scale[j] = fp;
+    const uint32_t *rows[B];
+    double root_log[B];
+    for (size_t base = 0; base < num_rows; base += B) {
+        // A tail block repeats its last row in the spare lanes, which
+        // the kernel computes but does not add.
+        const size_t n = std::min(B, num_rows - base);
+        for (size_t i = 0; i < B; ++i) {
+            const Assignment &x = xs[base + (i < n ? i : n - 1)];
+            reasonAssert(x.size() >= flat_.numVars, "assignment too short");
+            rows[i] = x.data();
         }
-        kernels.expMulOrZero(args, scale, f, cnt);
-        double fn = c == flat_.root ? 1.0 : 0.0;
-        for (uint32_t j = 0; j < cnt; ++j) {
-            edgeTotal_[pedge[lo + j]] += f[j];
-            fn += f[j];
-        }
-        flow[c] = fn;
-        if (fn == 0.0)
-            return;
-        nodeTotal_[c] += fn;
-        if (types[c] == FlatCircuit::kLeaf) {
-            const uint32_t s = slot[c];
-            const uint32_t v = x[var[s]];
-            if (v != kMissing)
-                leafTotal_[size_t(s) * flat_.arity + v] += fn;
-        }
-    };
-    if (pool.numThreads() == 1) {
-        // Parents always carry higher ids than their children, so a
-        // reverse id scan finalizes every parent before its children —
-        // same kernel, cache-friendly sequential streams.
-        for (size_t i = flat_.numNodes(); i-- > 0;)
-            gatherNode(uint32_t(i), argScratch_.data(),
-                       scaleScratch_.data(), flowScratch_.data());
-        return;
+        const bool in_range =
+            kernels.runFlowBlock(view, rows, n, scratch, root_log, totals);
+        reasonAssert(in_range, "assignment value out of range");
+        if (rowLog != nullptr)
+            std::copy_n(root_log, n, rowLog + base);
     }
-    for (size_t l = flat_.numLevels(); l-- > 0;)
-        pool.parallelFor(
-            flat_.levelOffset[l], flat_.levelOffset[l + 1],
-            kMinNodesPerChunk,
-            [&](size_t b, size_t e, unsigned worker) {
-                double *args = argScratch_.data() + worker * stripe;
-                double *scale = scaleScratch_.data() + worker * stripe;
-                double *f = flowScratch_.data() + worker * stripe;
-                for (size_t k = b; k < e; ++k)
-                    gatherNode(flat_.levelNodes[k], args, scale, f);
-            });
+    count_ += num_rows;
 }
 
 void
@@ -795,46 +779,44 @@ accumulateDatasetFlows(const FlatCircuit &flat,
     const unsigned shards = util::resolveShardCount(
         opts.shards, opts.deterministic, data.size(),
         active.numThreads());
+
+    // Everything the workers write is allocated here, on the calling
+    // thread: each shard's totals, one block scratch per participating
+    // worker (a worker runs its shards one after another), and the row
+    // log-likelihoods.  Slice boundaries depend only on (samples,
+    // shards), and each row is written by the worker that owns it.
+    std::vector<FlowAccumulator> accs;
+    accs.reserve(shards);
+    for (unsigned s = 0; s < shards; ++s)
+        accs.emplace_back(flat);
+    // The block scratches persist per calling thread, so repeated
+    // E-steps reuse them instead of faulting fresh pages in every call.
+    // A thread_local named inside the lambda below would resolve to
+    // each worker's own (empty) instance, hence the reference.
+    thread_local std::vector<std::vector<double>> scratch_tls;
+    std::vector<std::vector<double>> &scratch = scratch_tls;
+    scratch.resize(std::min(active.numThreads(), shards));
+    for (std::vector<double> &s : scratch)
+        initFlowScratch(flat, s);
     DatasetFlows out;
     out.shards = shards;
-    if (shards <= 1) {
-        // Legacy serial left fold over the dataset; per-sample
-        // wavefront parallelism (the pool) still applies inside add().
-        FlowAccumulator acc(flat, pool);
-        for (const auto &x : data)
-            acc.add(x);
-        out.edgeFlow = std::move(acc.edgeTotal_);
-        out.nodeFlow = std::move(acc.nodeTotal_);
-        out.leafValueFlow = std::move(acc.leafTotal_);
-        out.count = acc.count_;
-        return out;
-    }
-
-    // One private accumulator per shard over a contiguous sample slice
-    // whose boundaries depend only on (samples, shards).  Each shard's
-    // per-sample passes run serially — shard parallelism replaces
-    // wavefront parallelism here.  A 1-thread pool's parallelFor runs
-    // inline without touching shared state, so one serial pool is
-    // safely shared by every concurrent accumulator.
-    util::ThreadPool serial_pool(1);
-    std::vector<std::unique_ptr<FlowAccumulator>> accs(shards);
-    for (unsigned s = 0; s < shards; ++s)
-        accs[s] = std::make_unique<FlowAccumulator>(flat, &serial_pool);
+    out.logLikelihood.resize(data.size());
     util::shardSlices(active, data.size(), shards,
-                      [&](size_t s, size_t lo, size_t hi) {
-                          for (size_t i = lo; i < hi; ++i)
-                              accs[s]->add(data[i]);
+                      [&](size_t s, size_t lo, size_t hi, unsigned worker) {
+                          accs[s].addRows(data.data() + lo, hi - lo,
+                                          scratch[worker].data(),
+                                          out.logLikelihood.data() + lo);
                       });
 
     // Deterministic fixed-shape pairwise merge: shape depends only on
     // the shard count, and each element is accumulated left-to-right.
     util::treeReduce(shards, [&](size_t a, size_t b) {
-        accs[a]->mergeFrom(*accs[b]);
+        accs[a].mergeFrom(accs[b]);
     });
-    out.edgeFlow = std::move(accs[0]->edgeTotal_);
-    out.nodeFlow = std::move(accs[0]->nodeTotal_);
-    out.leafValueFlow = std::move(accs[0]->leafTotal_);
-    out.count = accs[0]->count_;
+    out.edgeFlow = std::move(accs[0].edgeTotal_);
+    out.nodeFlow = std::move(accs[0].nodeTotal_);
+    out.leafValueFlow = std::move(accs[0].leafTotal_);
+    out.count = accs[0].count_;
     return out;
 }
 

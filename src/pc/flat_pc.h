@@ -9,12 +9,12 @@
  * likelihoods over a dataset, EM flows, entropy estimates, marginal
  * sweeps — pays that per sample.  `FlatCircuit` lowers the circuit once
  * into contiguous arrays with *pre-computed* edge log-weights and leaf
- * log-distributions, plus a compiled slot program for root-only
- * passes; `CircuitEvaluator` and `FlowAccumulator` then run
- * upward/downward passes over reusable scratch, allocation-free, with
- * the hot inner loops expressed over the 8-lane SIMD layer
- * (util/simd.h) — one canonical kernel per pass, bit-identical across
- * batch shapes, thread counts, and SIMD backends.
+ * log-distributions, plus a compiled slot program for root passes;
+ * `CircuitEvaluator` and `FlowAccumulator` then run upward and
+ * upward-and-downward passes over reusable scratch, allocation-free,
+ * as 8-row blocks through runtime-dispatched kernels of the 8-lane SIMD
+ * layer (util/simd.h) — one canonical kernel per pass, bit-identical
+ * across batch shapes, thread counts, and SIMD backends.
  */
 
 #ifndef REASON_PC_FLAT_PC_H
@@ -30,6 +30,7 @@
 namespace reason {
 namespace simd {
 struct SlotProgram;
+struct FlowProgram;
 } // namespace simd
 
 namespace pc {
@@ -45,9 +46,9 @@ namespace pc {
  *    upward passes can evaluate each level as a data-parallel slice;
  *  - a **parent transpose** (CSC view) listing, per node, the forward
  *    edge ids arriving from its parents in *descending parent order*,
- *    plus flattened per-slot streams (parentNode, parentLogWeight), so
- *    the downward passes gather flows/derivatives with one writer per
- *    node, contiguous loads, and a deterministic fold order;
+ *    plus the parent of each (parentNode), so the downward passes (the
+ *    flow kernel, logDerivativesInto) gather flows/derivatives with one
+ *    writer per node and a deterministic fold order;
  *  - a **root-pass slot program** (RootProgram), the compiled form of
  *    the upward pass that logLikelihood, logLikelihoodBatch and the
  *    approximate tier run.
@@ -123,15 +124,12 @@ class FlatCircuit
     /** Transpose offsets: parents of node i are parentEdge[parentOffset[i]
      *  .. parentOffset[i+1]); size numNodes()+1. */
     std::vector<uint32_t> parentOffset;
-    /** Forward edge ids into each node, descending parent order. */
+    /** Forward edge ids into each node, descending parent order; a
+     *  gather reads an edge's weight as edgeLogWeight[parentEdge[k]]. */
     std::vector<uint32_t> parentEdge;
-    /** Flattened transpose streams, aligned with parentEdge, so the
-     *  gather passes stream contiguously instead of double-indirecting:
-     *  parentNode[k] is the node whose CSR edge range holds
-     *  parentEdge[k], and parentLogWeight[k] ==
-     *  edgeLogWeight[parentEdge[k]]. */
+    /** Aligned with parentEdge: parentNode[k] is the node whose CSR edge
+     *  range holds parentEdge[k]. */
     std::vector<uint32_t> parentNode;
-    std::vector<double> parentLogWeight;
 
     /**
      * The root-pass slot program (simd::SlotProgram holds the kernel's
@@ -152,6 +150,9 @@ class FlatCircuit
         std::vector<uint32_t> op;
         /** Per op: operand count, or the leaf slot of a leaf. */
         std::vector<uint32_t> arg;
+        /** Per op: the node it computes (where the flow pass stores the
+         *  op's log value). */
+        std::vector<uint32_t> node;
         /** Operand slots of every sum and product, in op order. */
         std::vector<uint32_t> operand;
         /** Per sum operand, in op order: weight mantissa in [1, 2)
@@ -171,6 +172,10 @@ class FlatCircuit
     /** The kernel's plain-array view of `program`, over this circuit's
      *  leaf variables (include util/simd.h to use it). */
     simd::SlotProgram programView() const;
+    /** The flow kernel's view: programView() plus each op's node and
+     *  the parent transpose.  Needs finalizeTopology() and a program
+     *  whose one output is the root. */
+    simd::FlowProgram flowView() const;
 
     uint32_t numVars = 0;
     uint32_t arity = 0;
@@ -205,10 +210,12 @@ inline constexpr size_t kMinWavefrontNodesPerChunk = 2048;
  *    tail position, thread count, or kernel table: the guarantee the
  *    serving engine's coalescing relies on.
  *  - *evaluate()* keeps the log-domain per-node walk (two-pass
- *    logsumexp per sum, `-inf` terms masked), because the downward
- *    passes and the marginal queries read every node's log value.  It
- *    is bit-identical across thread counts; its root value agrees
- *    with logLikelihood within the 1e-12 contract, not bitwise.
+ *    logsumexp per sum, `-inf` terms masked), because the derivative
+ *    pass (logDerivativesInto) and the marginal queries built on it
+ *    read every node's log value.  (FlowAccumulator does not: its
+ *    kernel stores node values in the linear domain's own upward
+ *    half.)  It is bit-identical across thread counts; its root value
+ *    agrees with logLikelihood within the 1e-12 contract, not bitwise.
  *
  * **Threading.**  With a multi-worker pool (explicit or the global
  * pool), evaluate() runs each wavefront of the level schedule in
@@ -313,7 +320,7 @@ class CircuitEvaluator
  *
  * The pass is a transpose *gather* with one shared per-node kernel:
  * each node collects its incoming derivative terms from its finalized
- * parents (flattened transpose streams, descending-parent order) into
+ * parents (through the transpose, descending-parent order) into
  * a contiguous buffer and reduces them with the canonical two-pass
  * SIMD logsumexp (simd::logSumExpMasked — -inf terms are exact
  * identities); product parents use (zero count, finite sum) tables
@@ -334,20 +341,25 @@ struct DatasetFlows;
 struct FlowShardOptions;
 
 /**
- * Streaming top-down circuit-flow accumulator (Sec. IV-B): one upward
- * and one downward pass per sample over reused scratch.  Replaces the
- * per-sample EdgeFlows allocation pattern of accumulateFlows/emTrain.
+ * Streaming top-down circuit-flow accumulator (Sec. IV-B): per-edge,
+ * per-node and observed-leaf-value flow totals over a stream of rows.
  *
- * The downward pass is a transpose *gather* with one shared per-node
- * kernel: each node's incoming flow arguments are staged into a
- * contiguous buffer and the per-edge exp is computed by the masked
- * SIMD kernel (simd::expMulOrZero), then folded in descending parent
- * order.  A 1-thread pool walks nodes in reverse id order (parents
- * carry higher ids — sequential, cache-friendly); a multi-worker pool
- * walks the reverse level schedule.  Node flows, per-edge totals, and
- * leaf totals each have exactly one writer and the kernel depends
- * only on the finalized parents, so all totals are bit-identical for
- * any thread count (no atomics anywhere).
+ * Rows run in 8-row blocks through one runtime-dispatched kernel
+ * (simd::runFlowBlock), a whole flow pass per block: its upward half
+ * runs the root-pass slot program in the linear domain and stores each
+ * program node's log value; its downward half gathers each node's flow
+ * from its parents through the transpose in descending parent order,
+ * with one 8-lane exp per sum edge for all 8 rows.  Only the nodes the
+ * program holds carry flow; the others (reached only over zero-weight
+ * edges, or not at all) add nothing.  Lanes never interact, and every
+ * total adds a block's lanes in row order, so a row adds the same bits
+ * whatever its block, lane, tail position, thread count or kernel
+ * table: a block equals a left fold of single rows, and add(x) is a
+ * one-row block.  A row of zero probability adds exactly 0.
+ *
+ * A lone accumulator runs serially on its caller, with one block of
+ * scratch (the program's slots plus 8 lanes per node) allocated by the
+ * first add(); parallelism comes from accumulateDatasetFlows' shards.
  *
  * **Thread-safety contract.**  One accumulator per caller; totals are
  * plain members.  Concurrent accumulation requires one accumulator per
@@ -357,8 +369,10 @@ class FlowAccumulator
 {
   public:
     /**
-     * @param flat  lowered circuit; must outlive the accumulator.
-     * @param pool  worker pool; nullptr selects util::globalThreadPool().
+     * @param flat  lowered circuit with its parent transpose; must
+     *              outlive the accumulator.
+     * @param pool  unused: a lone accumulator runs serially.  Kept so
+     *              callers that pass one still compile.
      */
     explicit FlowAccumulator(const FlatCircuit &flat,
                              util::ThreadPool *pool = nullptr);
@@ -385,24 +399,23 @@ class FlowAccumulator
     const std::vector<double> &leafValueFlow() const { return leafTotal_; }
 
   private:
-    static constexpr size_t kMinNodesPerChunk =
-        kMinWavefrontNodesPerChunk;
-
-    /** Moves totals out of shard accumulators instead of copying. */
+    /** Runs shards through addRows and moves their totals out. */
     friend DatasetFlows accumulateDatasetFlows(
         const FlatCircuit &, const std::vector<Assignment> &,
         const FlowShardOptions &, util::ThreadPool *);
 
+    /**
+     * Add rows[0..n) block by block, with `scratch` (sized and filled
+     * by initFlowScratch) as the block scratch; rowLog[r], unless null,
+     * receives row r's log-likelihood, bit-identical to
+     * CircuitEvaluator::logLikelihoodBatch.
+     */
+    void addRows(const Assignment *rows, size_t n, double *scratch,
+                 double *rowLog);
+
     const FlatCircuit &flat_;
-    /** Explicit pool, or nullptr = resolve the global pool per call. */
-    util::ThreadPool *pool_;
-    CircuitEvaluator eval_;
-    /** Per-sample downward flow scratch. */
-    std::vector<double> flow_;
-    /** Per-worker (arg, scale, flow) stripes of the masked exp kernel. */
-    std::vector<double> argScratch_;
-    std::vector<double> scaleScratch_;
-    std::vector<double> flowScratch_;
+    /** add()'s block scratch; empty until the first add(). */
+    std::vector<double> scratch_;
     std::vector<double> edgeTotal_;
     std::vector<double> nodeTotal_;
     std::vector<double> leafTotal_;
@@ -432,6 +445,10 @@ struct DatasetFlows
     std::vector<double> nodeFlow;
     /** Observed-value leaf flow, packed [leaf slot * arity + value]. */
     std::vector<double> leafValueFlow;
+    /** Per row, in data order: log P(row), bit-identical to
+     *  CircuitEvaluator::logLikelihoodBatch (the flow kernel's upward
+     *  half is the root pass). */
+    std::vector<double> logLikelihood;
     size_t count = 0;
     /** Shards actually used (diagnostics/tests). */
     unsigned shards = 1;
@@ -440,17 +457,21 @@ struct DatasetFlows
 /**
  * Flow totals of a whole dataset with sample-level sharding: the sample
  * range is split into `shards` contiguous, deterministically-placed
- * slices, each accumulated left-to-right by one worker into a private
- * FlowAccumulator (its per-sample passes run serially — shard
- * parallelism replaces wavefront parallelism here), then merged by a
- * fixed-shape pairwise tree reduction (util::treeReduce) whose shape
- * depends only on the shard count.
+ * slices, each fed block by block through the flow kernel (see
+ * FlowAccumulator) by one worker into that shard's totals, then merged
+ * by a fixed-shape pairwise tree reduction (util::treeReduce) whose
+ * shape depends only on the shard count.  Every shard's totals, and one
+ * block scratch per participating worker (never one per shard), are
+ * allocated on the calling thread; the scratches stay with that thread
+ * for its next call, so repeated E-steps do not fault them in again.
+ * Each row's log-likelihood is written by the worker that owns its
+ * row.
  *
  * Determinism: with opts.deterministic (default) the shard count never
  * depends on the worker count, so totals are bit-identical for any
- * thread count; shards == 1 reproduces the legacy serial left fold
- * exactly.  Fast mode (deterministic = false) shards per worker,
- * changing only the reduction shape.
+ * thread count; shards == 1 is the serial left fold of add().  Fast
+ * mode (deterministic = false) shards per worker, changing only the
+ * reduction shape.
  */
 DatasetFlows accumulateDatasetFlows(const FlatCircuit &flat,
                                     const std::vector<Assignment> &data,

@@ -10,6 +10,20 @@
 namespace reason {
 namespace pc {
 
+namespace {
+
+/** Row-order mean of per-row log-likelihoods. */
+double
+meanOf(const std::vector<double> &ll)
+{
+    double acc = 0.0;
+    for (double v : ll)
+        acc += v;
+    return acc / static_cast<double>(ll.size());
+}
+
+} // namespace
+
 double
 meanLogLikelihood(const Circuit &circuit,
                   const std::vector<Assignment> &data)
@@ -19,18 +33,17 @@ meanLogLikelihood(const Circuit &circuit,
     CircuitEvaluator eval(*flat);
     std::vector<double> ll(data.size());
     eval.logLikelihoodBatch(data, ll);
-    double acc = 0.0;
-    for (double v : ll)
-        acc += v;
-    return acc / static_cast<double>(data.size());
+    return meanOf(ll);
 }
 
 EmTrace
 emTrain(Circuit &circuit, const std::vector<Assignment> &data,
         const EmConfig &config)
 {
+    reasonAssert(!data.empty(), "need data");
     EmTrace trace;
-    trace.logLikelihood.push_back(meanLogLikelihood(circuit, data));
+    if (config.maxIterations == 0)
+        trace.logLikelihood.push_back(meanLogLikelihood(circuit, data));
 
     for (uint32_t it = 0; it < config.maxIterations; ++it) {
         // E-step: expected edge usage = accumulated flows; expected leaf
@@ -43,6 +56,11 @@ emTrain(Circuit &circuit, const std::vector<Assignment> &data,
         std::shared_ptr<const FlatCircuit> flat = cachedLowering(circuit);
         DatasetFlows acc = accumulateDatasetFlows(
             *flat, data, {config.shards, config.deterministic});
+        // The flow kernel's upward half is the root pass, so the first
+        // E-step's row log-likelihoods are meanLogLikelihood's, bit for
+        // bit: the initial trace entry costs no pass of its own.
+        if (it == 0)
+            trace.logLikelihood.push_back(meanOf(acc.logLikelihood));
 
         // M-step: re-normalize sum weights and leaf distributions.
         const std::vector<double> &edge_flow = acc.edgeFlow;

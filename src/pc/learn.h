@@ -65,7 +65,9 @@ double meanLogLikelihood(const Circuit &circuit,
                          const std::vector<Assignment> &data);
 
 /**
- * Run flow-based EM in place.
+ * Run flow-based EM in place.  The first E-step also yields the initial
+ * mean log-likelihood (bit-identical to meanLogLikelihood), so a fit
+ * runs one root pass per iteration, for its convergence check.
  * @return the per-iteration trace (first entry is the initial LL).
  */
 EmTrace emTrain(Circuit &circuit, const std::vector<Assignment> &data,

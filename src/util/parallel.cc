@@ -165,10 +165,9 @@ resolveShardCount(unsigned shards, bool deterministic, size_t samples,
                   unsigned workers)
 {
     if (shards == 0) {
-        // Sharding *replaces* per-sample wavefront parallelism, so a
-        // dataset smaller than the target shard count keeps one shard
-        // (and the wavefront engine) instead of degenerating into a
-        // few serial-pool slices.  The deterministic target ignores
+        // A dataset smaller than the target shard count keeps one
+        // shard (one serial left fold) instead of degenerating into a
+        // few tiny slices.  The deterministic target ignores
         // `workers`, which keeps the result thread-count-invariant.
         const unsigned target = deterministic ? kAutoReductionShards
                                               : std::max(workers, 1u);

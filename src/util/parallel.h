@@ -147,8 +147,8 @@ bool parseThreadCount(const char *text, unsigned *out);
  *    count (kAutoReductionShards) that does not depend on the worker
  *    count, so results are bit-identical for any thread count; fast
  *    mode shards into one per pool worker.  Datasets smaller than the
- *    target resolve to a single shard, keeping per-sample wavefront
- *    parallelism instead of degenerate tiny shards.
+ *    target resolve to a single shard (one serial left fold) instead
+ *    of degenerate tiny shards.
  *  - `shards == 1` reproduces the legacy serial accumulation exactly
  *    (single left-fold over the dataset, no reduction tree).
  *  - `deterministic == false` (fast mode) relaxes *only* the reduction
@@ -197,11 +197,13 @@ treeReduce(size_t shards, Merge &&merge)
 }
 
 /**
- * Run `fold(shard, begin, end)` over every contiguous shard slice of
- * `samples` items, shards split across pool workers (each shard folded
- * by exactly one worker).  Slice boundaries are a function of
- * (samples, shards) alone — the deterministic-placement contract every
- * sharded learning reduction relies on, kept in one place.
+ * Run `fold(shard, begin, end, worker)` over every contiguous shard
+ * slice of `samples` items, shards split across pool workers (each
+ * shard folded by exactly one worker, whose index `worker` is below
+ * min(pool.numThreads(), shards), for per-worker scratch).  Slice
+ * boundaries are a function of (samples, shards) alone — the
+ * deterministic-placement contract every sharded learning reduction
+ * relies on, kept in one place.
  */
 template <typename Fold>
 inline void
@@ -209,10 +211,10 @@ shardSlices(ThreadPool &pool, size_t samples, unsigned shards,
             Fold &&fold)
 {
     pool.parallelFor(0, shards, 1,
-                     [&](size_t b, size_t e, unsigned) {
+                     [&](size_t b, size_t e, unsigned worker) {
                          for (size_t s = b; s < e; ++s)
                              fold(s, samples * s / shards,
-                                  samples * (s + 1) / shards);
+                                  samples * (s + 1) / shards, worker);
                      });
 }
 

@@ -31,8 +31,10 @@
  *  - `expNonPositive` matches `reason::fastExpNonPositive` (numeric.h)
  *    bit for bit: Cody-Waite reduction + degree-13 Taylor, relative
  *    error ~1e-16 over x <= 0; inputs below -708 clamp to ~5e-308
- *    (never 0).  Inputs must not be NaN; x slightly positive (< ln2/2)
- *    is tolerated and exact at x == 0.
+ *    (never 0).  Inputs must not be NaN; it is exact at x == 0, and
+ *    the same reduction holds for positive x up to ~709 (the flow
+ *    kernel's log-flow terms exceed 0 where a non-decomposable
+ *    circuit's flows exceed 1).
  *  - `logPositive` and its scalar twin `fastLogPositive` implement the
  *    standard fdlibm-style decomposition (x = 2^k · m, m in
  *    [sqrt(2)/2, sqrt(2)), atanh-series remainder): relative error
@@ -46,6 +48,12 @@
  *    and one `logMantExp` per output.  Its values agree with the
  *    log-domain walk to ~1e-15 relative per operation; zero mass is
  *    exactly -inf.
+ *  - `runFlowBlock` (the flow kernel) runs that root pass upward, then
+ *    a downward gather with one `expNonPositive` per sum edge and one
+ *    `logPositive` per sum node, flushing flows below the normal range
+ *    to no flow.  Its flows agree with the seed walker to 1e-10 (the
+ *    differential harness), and its root log values are the root
+ *    pass's, bit for bit.
  *
  * The vectorizer-resistant reference kernels used by `bench_eval` to
  * measure the SIMD speedup honestly are marked `REASON_NOVECTORIZE`
@@ -172,6 +180,41 @@ struct SlotProgram
     size_t numOutputs = 0;
     /** Slots the program uses (scratch: numSlots * kSlotDoubles). */
     size_t numSlots = 0;
+};
+
+/**
+ * Plain-array view of a flow pass (pc::FlatCircuit derives it;
+ * runFlowBlock below runs it): a root-pass program whose one output is
+ * the root, the node each of its ops computes, and the circuit's parent
+ * transpose.  Crosses the kernel table boundary like SlotProgram.
+ */
+struct FlowProgram
+{
+    /** The root-pass program.  Its ops are the nodes the root reaches
+     *  over mass-bearing edges, in id order, so the last op is the root. */
+    SlotProgram up;
+    /** Per op: the node it computes. */
+    const uint32_t *opNode = nullptr;
+    /** Per node: SlotProgram::kLeaf, kSum or kProduct. */
+    const uint8_t *nodeType = nullptr;
+    /** Parents of node c: entries [parentOffset[c], parentOffset[c + 1])
+     *  of parentNode (the parent) and parentEdge (its forward edge id),
+     *  in descending parent order. */
+    const uint32_t *parentOffset = nullptr;
+    const uint32_t *parentNode = nullptr;
+    const uint32_t *parentEdge = nullptr;
+    /** Per forward edge: log weight of a sum edge, -inf for weight 0. */
+    const double *edgeLogWeight = nullptr;
+    size_t numNodes = 0;
+};
+
+/** Where runFlowBlock adds its flows: per forward edge, per node, and
+ *  per observed leaf value at [leaf index * arity + value]. */
+struct FlowTotals
+{
+    double *edge = nullptr;
+    double *node = nullptr;
+    double *leaf = nullptr;
 };
 
 inline namespace REASON_SIMD_ABI {
@@ -1119,35 +1162,6 @@ logSumExpMasked(const double *xs, size_t n)
 }
 
 /**
- * Masked exp-multiply: out[i] = args[i] == -inf ? 0
- *                               : expNonPositive(args[i]) * scale[i].
- * The downward-flow building block: -inf encodes "edge carries no
- * flow" and must contribute an exact additive identity, while live
- * lanes pay one vectorized exp.  args must not contain NaN.
- */
-inline void
-expMulOrZero(const double *args, const double *scale, double *out,
-             size_t n)
-{
-    const Pack neg_inf = splat(kLogZero);
-    const Pack zero = splat(0.0);
-    size_t i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        const Pack a = load(args + i);
-        // Masked lanes are clamped by expNonPositive, so computing
-        // then blending is NaN-free and branch-free.
-        const Pack f = mul(expNonPositive(a), load(scale + i));
-        store(out + i, select(cmpEq(a, neg_inf), zero, f));
-    }
-    // Lanes are independent, so the scalar tail (and the common
-    // small-fan-in case) is bit-identical to a masked pack.
-    for (; i < n; ++i)
-        out[i] = args[i] == kLogZero
-                     ? 0.0
-                     : fastExpNonPositive(args[i]) * scale[i];
-}
-
-/**
  * Bring a lane's (mantissa, exponent) pair back to m in [1, 2): m must
  * be 0 or a normal double >= 1, which every product and sum of
  * [1, 2) mantissas is.  The exponent moves into e from the bits, and
@@ -1215,25 +1229,25 @@ linearSum(const double *slots, const uint32_t *operand,
  *  this many [1, 2) mantissas (times one more) stays below 2^1023. */
 inline constexpr size_t kProductRenormEvery = 512;
 
+/** log(m * 2^e) of a slot's 8 lanes (mantissas at c, exponents at
+ *  c + kLanes): one logMantExp, and exactly -inf for a zero mantissa. */
+inline Pack
+slotLog(const double *c)
+{
+    const Pack m = load(c);
+    return select(cmpEq(m, splat(0.0)), splat(kLogZero),
+                  logMantExp(m, load(c + kLanes)));
+}
+
 /**
- * Run a root-pass slot program (SlotProgram) over one 8-row block in
- * the exponent-tracked linear domain: each lane of a slot carries a
- * mantissa in [1, 2), or 0, and an integer-valued exponent, -inf for
- * zero.  Leaves copy their (mantissa, exponent) pair from the table
- * (a missing value reads (1, 0)); products multiply mantissas and add
- * exponents, renormalizing every kProductRenormEvery operands and at
- * the end; sums run linearSum.  Each output takes one log:
- * out[o * kLanes + lane] = log(m) + e * ln2, -inf for zero.  `rows`
- * holds kLanes row pointers (tail callers repeat a live row); `slots`
- * is numSlots * kSlotDoubles of scratch.  Every step is a lane-parallel
- * IEEE operation, so each lane's result is bit-identical on every
- * backend and independent of the other lanes.  Returns false if a row
- * holds a value outside [0, arity) that is not `missing` (that lane's
- * leaf then reads zero).
+ * The op loop of runSlotProgram: run every op of `p` over one 8-row
+ * block, and call visit(i, dst) once op i has written its slot dst.
+ * Returns false on an out-of-range row value (see runSlotProgram).
  */
+template <typename Visit>
 inline bool
-runSlotProgram(const SlotProgram &p, const uint32_t *const *rows,
-               double *slots, double *out)
+runSlotOps(const SlotProgram &p, const uint32_t *const *rows, double *slots,
+           Visit &&visit)
 {
     constexpr size_t S = SlotProgram::kSlotDoubles;
     const uint32_t *operand = p.operand;
@@ -1293,16 +1307,141 @@ runSlotProgram(const SlotProgram &p, const uint32_t *const *rows,
             break;
           }
         }
-    }
-    const Pack zero = splat(0.0);
-    for (size_t o = 0; o < p.numOutputs; ++o) {
-        const double *c = slots + size_t(p.output[o]) * S;
-        const Pack m = load(c);
-        store(out + o * kLanes,
-              select(cmpEq(m, zero), splat(kLogZero),
-                     logMantExp(m, load(c + kLanes))));
+        visit(i, static_cast<const double *>(dst));
     }
     return ok;
+}
+
+/**
+ * Run a root-pass slot program (SlotProgram) over one 8-row block in
+ * the exponent-tracked linear domain: each lane of a slot carries a
+ * mantissa in [1, 2), or 0, and an integer-valued exponent, -inf for
+ * zero.  Leaves copy their (mantissa, exponent) pair from the table
+ * (a missing value reads (1, 0)); products multiply mantissas and add
+ * exponents, renormalizing every kProductRenormEvery operands and at
+ * the end; sums run linearSum.  Each output takes one log:
+ * out[o * kLanes + lane] = log(m) + e * ln2, -inf for zero.  `rows`
+ * holds kLanes row pointers (tail callers repeat a live row); `slots`
+ * is numSlots * kSlotDoubles of scratch.  Every step is a lane-parallel
+ * IEEE operation, so each lane's result is bit-identical on every
+ * backend and independent of the other lanes.  Returns false if a row
+ * holds a value outside [0, arity) that is not `missing` (that lane's
+ * leaf then reads zero).
+ */
+inline bool
+runSlotProgram(const SlotProgram &p, const uint32_t *const *rows,
+               double *slots, double *out)
+{
+    constexpr size_t S = SlotProgram::kSlotDoubles;
+    const bool ok =
+        runSlotOps(p, rows, slots, [](size_t, const double *) {});
+    for (size_t o = 0; o < p.numOutputs; ++o)
+        store(out + o * kLanes, slotLog(slots + size_t(p.output[o]) * S));
+    return ok;
+}
+
+/** total += v[0], then v[1], ... over the first n lanes, in lane order:
+ *  the fold of n one-row passes. */
+inline void
+addLanes(double &total, Pack v, size_t n)
+{
+    double lane[kLanes];
+    store(lane, v);
+    double t = total;
+    for (size_t i = 0; i < n; ++i)
+        t += lane[i];
+    total = t;
+}
+
+/**
+ * One whole flow pass (FlowProgram) over an 8-row block.  `scratch`
+ * holds the program's slots, then one 8-lane pack per circuit node.
+ *
+ *  - *Upward:* run the root-pass program (runSlotOps) and store each
+ *    op's log value lv (slotLog) at its node.
+ *  - *Downward:* visit the ops in reverse, so every parent comes before
+ *    its children.  A node gathers its flow F from the root seed (1 in
+ *    a lane whose root is nonzero, else 0) plus, over its parents in
+ *    transpose order, exp(lw + lv + G_p) from a sum parent or F_p from
+ *    a product parent; a -inf argument adds exactly 0.  It then
+ *    overwrites its pack with what its children read: F for a product,
+ *    and G = log F - lv for a sum, -inf when F is below the normal
+ *    range (logPositive's contract), so such a flow carries nothing on.
+ *
+ * Nodes outside the program carry no flow: their packs must hold 0
+ * (product) or -inf (sum), which the caller writes once and this
+ * kernel never touches.  Each of the first `live` lanes adds its edge,
+ * node and observed-leaf flows to `totals` in lane order, so one block
+ * adds exactly what `live` one-row passes would; the other lanes (tail
+ * copies) add nothing.  rootLog[lane] receives the root's log value,
+ * bit-identical to runSlotProgram's.  Lanes never interact, so every
+ * backend gives the same bits.  Returns false, adding nothing, if a row
+ * holds an out-of-range value (see runSlotProgram).
+ */
+inline bool
+runFlowBlock(const FlowProgram &p, const uint32_t *const *rows, size_t live,
+             double *scratch, double *rootLog, const FlowTotals &totals)
+{
+    constexpr double kMinNormal = 2.2250738585072014e-308; // 2^-1022
+    const SlotProgram &up = p.up;
+    double *nodes = scratch + up.numSlots * SlotProgram::kSlotDoubles;
+    const bool ok = runSlotOps(up, rows, scratch,
+                               [&](size_t i, const double *dst) {
+                                   store(nodes + size_t(p.opNode[i]) * kLanes,
+                                         slotLog(dst));
+                               });
+    if (!ok)
+        return false;
+
+    const Pack zero = splat(0.0);
+    const Pack neg_inf = splat(kLogZero);
+    const Pack root_log =
+        load(nodes + size_t(p.opNode[up.numOps - 1]) * kLanes);
+    store(rootLog, root_log);
+    Pack seed = select(cmpEq(root_log, neg_inf), zero, splat(1.0));
+    for (size_t i = up.numOps; i-- > 0;) {
+        const uint32_t c = p.opNode[i];
+        double *own = nodes + size_t(c) * kLanes;
+        const Pack lv = load(own);
+        Pack flow = seed; // only the root, the last op, is seeded
+        seed = zero;
+        for (uint32_t k = p.parentOffset[c]; k < p.parentOffset[c + 1];
+             ++k) {
+            const uint32_t parent = p.parentNode[k];
+            const uint32_t e = p.parentEdge[k];
+            Pack f = load(nodes + size_t(parent) * kLanes);
+            if (p.nodeType[parent] == SlotProgram::kSum) {
+                const Pack arg = add(add(splat(p.edgeLogWeight[e]), lv), f);
+                f = select(cmpEq(arg, neg_inf), zero, expNonPositive(arg));
+            }
+            addLanes(totals.edge[e], f, live);
+            flow = add(flow, f);
+        }
+        addLanes(totals.node[c], flow, live);
+        switch (up.op[i] >> SlotProgram::kKindShift) {
+          case SlotProgram::kLeaf: {
+            const uint32_t leaf = up.arg[i];
+            const uint32_t var = up.leafVar[leaf];
+            double *row_total = totals.leaf + size_t(leaf) * up.arity;
+            double lane[kLanes];
+            store(lane, flow);
+            for (size_t b = 0; b < live; ++b) {
+                const uint32_t v = rows[b][var];
+                if (v != up.missing)
+                    row_total[v] += lane[b];
+            }
+            break;
+          }
+          case SlotProgram::kProduct:
+            store(own, flow);
+            break;
+          default: // SlotProgram::kSum
+            store(own, select(cmpGt(splat(kMinNormal), flow), neg_inf,
+                              sub(logPositive(flow), lv)));
+            break;
+        }
+    }
+    return true;
 }
 
 /**

@@ -22,10 +22,10 @@
  * hoist `const KernelTable &k = activeKernels()` once and then pay one
  * indirect call per kernel invocation.
  *
- * The dispatched surface is the array-shaped serving hot path: the
- * root-pass slot program (one call walks a whole compiled circuit over
- * one 8-row block), the gather logsumexp, the flow exp-multiplies and
- * the reduction merges.
+ * The dispatched surface is the array-shaped hot path: the root-pass
+ * slot program and the flow pass (one call walks a whole compiled
+ * circuit over one 8-row block, upward or upward and downward), the
+ * derivative gather's logsumexp and the reduction merges.
  * Lane-op-heavy code that inlines pack primitives directly (the HMM
  * leaf batches, core/flat.cc) keeps the compile-time backend — a
  * function-pointer boundary per lane op would cost more than the wider
@@ -43,25 +43,31 @@ namespace reason {
 namespace simd {
 
 struct SlotProgram;
+struct FlowProgram;
+struct FlowTotals;
 
 /**
  * One ISA's kernel entry points.  All functions follow the exact
  * semantics of their simd.h namesakes.  Only plain arrays and the
- * ABI-independent SlotProgram view cross this boundary: Pack types
- * differ per ABI namespace.
+ * ABI-independent SlotProgram, FlowProgram and FlowTotals views cross
+ * this boundary: Pack types differ per ABI namespace.
  */
 struct KernelTable
 {
     /** Backend name: "avx512f", "avx2", "sse2", "neon", "scalar". */
     const char *isa;
     double (*logSumExpMasked)(const double *xs, size_t n);
-    void (*expMulOrZero)(const double *args, const double *scale,
-                         double *out, size_t n);
     void (*addInto)(double *dst, const double *src, size_t n);
     /** simd::runSlotProgram: the whole walk runs in this ISA. */
     bool (*runSlotProgram)(const SlotProgram &program,
                            const uint32_t *const *rows, double *slots,
                            double *out);
+    /** simd::runFlowBlock: a whole upward-and-downward flow pass over
+     *  one block runs in this ISA. */
+    bool (*runFlowBlock)(const FlowProgram &program,
+                         const uint32_t *const *rows, size_t live,
+                         double *scratch, double *rootLog,
+                         const FlowTotals &totals);
 };
 
 /**

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "pc/flows.h"
 #include "pc/learn.h"
@@ -36,6 +39,25 @@ tinyMixture()
     c.markRoot(s);
     c.validate();
     return c;
+}
+
+uint64_t
+bits(double x)
+{
+    return std::bit_cast<uint64_t>(x);
+}
+
+/** Every sum weight and leaf probability, in node order. */
+std::vector<double>
+params(const Circuit &c)
+{
+    std::vector<double> out;
+    for (NodeId id = 0; id < c.numNodes(); ++id) {
+        const PcNode &n = c.node(id);
+        out.insert(out.end(), n.weights.begin(), n.weights.end());
+        out.insert(out.end(), n.dist.begin(), n.dist.end());
+    }
+    return out;
 }
 
 } // namespace
@@ -243,4 +265,66 @@ TEST(Em, KeepsParametersNormalized)
     emTrain(model, data);
     model.validate(); // checks weight normalization
     EXPECT_NEAR(model.bruteForceLogZ(), 0.0, 1e-9);
+}
+
+TEST(Em, FirstLogLikelihoodIsTheInitialMeanBitwise)
+{
+    // The first E-step's upward half is the root pass, so the trace's
+    // initial entry needs no pass of its own, and keeps its bits.
+    Rng rng(12);
+    const Circuit truth = randomCircuit(rng, 7, 3);
+    const auto data = sampleDataset(rng, truth, 150);
+    const Circuit model = randomCircuit(rng, 7, 3);
+    const double want = meanLogLikelihood(model, data);
+    for (unsigned shards : {0u, 1u, 5u}) {
+        Circuit m = model;
+        EmConfig cfg;
+        cfg.maxIterations = 2;
+        cfg.shards = shards;
+        const EmTrace trace = emTrain(m, data, cfg);
+        ASSERT_GE(trace.logLikelihood.size(), 2u);
+        EXPECT_EQ(bits(trace.logLikelihood[0]), bits(want))
+            << "shards=" << shards;
+    }
+    // No iterations: the initial likelihood alone, and no change.
+    Circuit m = model;
+    EmConfig none;
+    none.maxIterations = 0;
+    const EmTrace trace = emTrain(m, data, none);
+    ASSERT_EQ(trace.logLikelihood.size(), 1u);
+    EXPECT_EQ(bits(trace.logLikelihood[0]), bits(want));
+    EXPECT_EQ(trace.iterations, 0u);
+    EXPECT_EQ(params(m), params(model));
+}
+
+TEST(Em, ChainOfOneIterationFitsIsOneFitBitwise)
+{
+    Rng rng(13);
+    const Circuit truth = randomCircuit(rng, 7, 2);
+    const auto data = sampleDataset(rng, truth, 120);
+    const Circuit model = randomCircuit(rng, 7, 2);
+    EmConfig cfg;
+    cfg.maxIterations = 4;
+    cfg.tolerance = -std::numeric_limits<double>::infinity();
+    Circuit whole = model;
+    const EmTrace want = emTrain(whole, data, cfg);
+    ASSERT_EQ(want.logLikelihood.size(), 5u);
+
+    EmConfig one = cfg;
+    one.maxIterations = 1;
+    Circuit chained = model;
+    for (uint32_t it = 0; it < cfg.maxIterations; ++it) {
+        const EmTrace step = emTrain(chained, data, one);
+        ASSERT_EQ(step.logLikelihood.size(), 2u);
+        EXPECT_EQ(bits(step.logLikelihood[0]), bits(want.logLikelihood[it]))
+            << "iteration " << it;
+        EXPECT_EQ(bits(step.logLikelihood[1]),
+                  bits(want.logLikelihood[it + 1]))
+            << "iteration " << it;
+    }
+    const std::vector<double> got = params(chained);
+    const std::vector<double> ref = params(whole);
+    ASSERT_EQ(got.size(), ref.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(bits(got[i]), bits(ref[i])) << "parameter " << i;
 }

@@ -9,15 +9,18 @@
  *    ways);
  *  - the transcendentals meet their documented accuracy contracts
  *    against libm;
- *  - masked loads/stores, fixed-shape reductions, logSumExpMasked,
- *    expMulOrZero, and addInto behave exactly as specified;
+ *  - masked loads/stores, fixed-shape reductions, logSumExpMasked and
+ *    addInto behave exactly as specified;
  *  - batched circuit evaluation is bit-identical to the single-row
  *    walk for every batch size (tail/remainder lanes) and thread
  *    count, and stays within 1e-10 of the seed reference walker;
  *  - the exponent-tracked linear domain of the root-pass kernel holds
  *    at its edges: wide products, terms too far apart to align, tiny
  *    and subnormal masses, exact zeros, and log values below the
- *    double range.
+ *    double range;
+ *  - the flow-pass block kernel adds, for every row, the bits a lone
+ *    row adds, whatever its lane, block fill or kernel table, and its
+ *    flows stay within 1e-10 of the seed walker at the domain's edges.
  */
 
 #include <gtest/gtest.h>
@@ -29,8 +32,10 @@
 
 #include "logic/cnf.h"
 #include "pc/flat_pc.h"
+#include "pc/flows.h"
 #include "pc/from_logic.h"
 #include "pc/pc.h"
+#include "random_circuit.h"
 #include "util/numeric.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -313,27 +318,6 @@ TEST(SimdKernels, LogSumExpMaskedMatchesLogAddChain)
     EXPECT_EQ(simd::logSumExpMasked(nullptr, 0), kLogZero);
 }
 
-TEST(SimdKernels, ExpMulOrZeroMasksExactly)
-{
-    Rng rng(23);
-    for (size_t n : {size_t(1), size_t(5), size_t(8), size_t(19)}) {
-        std::vector<double> args(n), scale(n), out(n);
-        for (size_t i = 0; i < n; ++i) {
-            args[i] = rng.bernoulli(0.3) ? kLogZero
-                                         : rng.uniformReal(-50.0, 0.0);
-            scale[i] = rng.uniformReal(0.0, 2.0);
-        }
-        simd::expMulOrZero(args.data(), scale.data(), out.data(), n);
-        for (size_t i = 0; i < n; ++i) {
-            const double want =
-                args[i] == kLogZero
-                    ? 0.0
-                    : fastExpNonPositive(args[i]) * scale[i];
-            EXPECT_EQ(bits(out[i]), bits(want)) << "lane " << i;
-        }
-    }
-}
-
 TEST(SimdKernels, AddIntoMatchesScalarLoop)
 {
     Rng rng(27);
@@ -392,9 +376,6 @@ TEST(SimdDispatch, AllRunnableKernelTablesAgreeBitwise)
         }
 
         const double lse0 = tables[0]->logSumExpMasked(xs.data(), n);
-        std::vector<double> emz0(xs.size());
-        tables[0]->expMulOrZero(xs.data(), scale.data(), emz0.data(),
-                                n);
         std::vector<double> add0(xs.begin(), xs.end());
         tables[0]->addInto(add0.data(), scale.data(), n);
 
@@ -402,17 +383,11 @@ TEST(SimdDispatch, AllRunnableKernelTablesAgreeBitwise)
             EXPECT_EQ(bits(tables[t]->logSumExpMasked(xs.data(), n)),
                       bits(lse0))
                 << tables[t]->isa;
-            std::vector<double> emz(xs.size());
-            tables[t]->expMulOrZero(xs.data(), scale.data(),
-                                    emz.data(), n);
             std::vector<double> add(xs.begin(), xs.end());
             tables[t]->addInto(add.data(), scale.data(), n);
-            for (size_t i = 0; i < n; ++i) {
-                EXPECT_EQ(bits(emz[i]), bits(emz0[i]))
-                    << tables[t]->isa << " lane " << i;
+            for (size_t i = 0; i < n; ++i)
                 EXPECT_EQ(bits(add[i]), bits(add0[i]))
                     << tables[t]->isa << " lane " << i;
-            }
         }
     }
 }
@@ -659,4 +634,316 @@ TEST(LinearRootPass, LogProbabilitiesBelowTheDoubleRange)
     const std::vector<double> got = expectRootPassContracts(flat, xs, &c);
     for (double v : got)
         EXPECT_LT(v, -745.0);
+}
+
+// ---------------------------------------------------------------------------
+// The flow-pass block kernel (simd::runFlowBlock): one row adds the same
+// bits alone, at any lane of a full or tail block, in any batch shape,
+// and on every kernel table; flows match the seed walker (computeFlows)
+// within 1e-10 where the linear domain is stretched.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** Flow totals and per-row root log values of one accumulation. */
+struct Flows
+{
+    std::vector<double> edge, node, leaf, rowLog;
+
+    explicit Flows(const pc::FlatCircuit &flat)
+        : edge(flat.numEdges(), 0.0), node(flat.numNodes(), 0.0),
+          leaf(flat.numLeaves() * flat.arity, 0.0)
+    {
+    }
+};
+
+/** A block scratch for `flat`: nodes without flow read 0 (product) or
+ *  -inf (sum). */
+std::vector<double>
+flowScratch(const pc::FlatCircuit &flat)
+{
+    const size_t slots =
+        flat.program.numSlots * simd::SlotProgram::kSlotDoubles;
+    std::vector<double> scratch(slots + flat.numNodes() * simd::kLanes, 0.0);
+    for (size_t i = 0; i < flat.numNodes(); ++i)
+        if (flat.types[i] == pc::FlatCircuit::kSum)
+            std::fill_n(scratch.begin() + long(slots + i * simd::kLanes),
+                        simd::kLanes, kLogZero);
+    return scratch;
+}
+
+/** One block through table `t`: lane i reads block[i], and the first
+ *  `live` lanes add into `f`. */
+void
+runFlowBlock(const simd::KernelTable &t, const pc::FlatCircuit &flat,
+             const std::vector<const pc::Assignment *> &block, size_t live,
+             std::vector<double> &scratch, Flows &f)
+{
+    const simd::FlowProgram view = flat.flowView();
+    const simd::FlowTotals totals{f.edge.data(), f.node.data(),
+                                  f.leaf.data()};
+    const uint32_t *rows[simd::kLanes];
+    for (size_t i = 0; i < simd::kLanes; ++i)
+        rows[i] = block[i]->data();
+    double root[simd::kLanes];
+    EXPECT_TRUE(t.runFlowBlock(view, rows, live, scratch.data(), root,
+                               totals));
+    f.rowLog.insert(f.rowLog.end(), root, root + live);
+}
+
+/** Rows through table `t` in blocks of 8; a tail block repeats its last
+ *  row in the spare lanes. */
+Flows
+runFlowTable(const simd::KernelTable &t, const pc::FlatCircuit &flat,
+             const std::vector<pc::Assignment> &xs)
+{
+    Flows f(flat);
+    std::vector<double> scratch = flowScratch(flat);
+    std::vector<const pc::Assignment *> block(simd::kLanes);
+    for (size_t base = 0; base < xs.size(); base += simd::kLanes) {
+        const size_t n = std::min(simd::kLanes, xs.size() - base);
+        for (size_t i = 0; i < simd::kLanes; ++i)
+            block[i] = &xs[base + std::min(i, n - 1)];
+        runFlowBlock(t, flat, block, n, scratch, f);
+    }
+    return f;
+}
+
+::testing::AssertionResult
+sameBits(const std::vector<double> &got, const std::vector<double> &want)
+{
+    if (got.size() != want.size())
+        return ::testing::AssertionFailure()
+               << "size " << got.size() << " vs " << want.size();
+    for (size_t i = 0; i < got.size(); ++i)
+        if (bits(got[i]) != bits(want[i]))
+            return ::testing::AssertionFailure()
+                   << "index " << i << ": " << got[i] << " vs " << want[i];
+    return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult
+sameFlows(const Flows &got, const pc::FlowAccumulator &want)
+{
+    ::testing::AssertionResult r = sameBits(got.edge, want.edgeFlow());
+    if (r)
+        r = sameBits(got.node, want.nodeFlow());
+    if (r)
+        r = sameBits(got.leaf, want.leafValueFlow());
+    return r;
+}
+
+/**
+ * A random test circuit (random_circuit.h: zero leaves, zero-weight
+ * edges, shared and non-decomposable sub-DAGs) gated by a leaf on
+ * variable 0 with mass only on value 0, so any row with x[0] == 1 has
+ * probability zero and adds exactly nothing.
+ */
+pc::Circuit
+gatedTestCircuit(Rng &rng)
+{
+    pc::Circuit c = testutil::randomTestCircuit(rng);
+    std::vector<double> gate(c.arity(), 0.0);
+    gate[0] = 1.0;
+    c.markRoot(c.addProduct({c.root(), c.addLeaf(0, gate)}));
+    return c;
+}
+
+/**
+ * Flows of `xs` through every runnable kernel table, and through
+ * FlowAccumulator, against the seed walker: every node and edge within
+ * 1e-10, and every reference flow below `tiny` stays below it.
+ */
+void
+expectFlowsMatchSeedWalker(const pc::Circuit &c,
+                           const std::vector<pc::Assignment> &xs,
+                           double tiny)
+{
+    const pc::FlatCircuit flat(c);
+    std::vector<double> node_ref(c.numNodes(), 0.0);
+    std::vector<double> edge_ref(flat.numEdges(), 0.0);
+    for (const pc::Assignment &x : xs) {
+        const pc::EdgeFlows one = pc::computeFlows(c, x);
+        for (size_t i = 0; i < c.numNodes(); ++i) {
+            node_ref[i] += one.nodeFlows[i];
+            for (size_t k = 0; k < one.flows[i].size(); ++k)
+                edge_ref[flat.edgeOffset[i] + k] += one.flows[i][k];
+        }
+    }
+    const auto expectNear = [&](double got, double want, const char *what,
+                                size_t i, const char *isa) {
+        EXPECT_NEAR(got, want, 1e-10) << isa << " " << what << " " << i;
+        if (want < tiny) {
+            EXPECT_LT(got, tiny) << isa << " " << what << " " << i;
+        }
+    };
+    pc::FlowAccumulator acc(flat);
+    for (const pc::Assignment &x : xs)
+        acc.add(x);
+    const simd::KernelTable *tables[8];
+    const size_t count = simd::runnableKernelTables(tables, 8);
+    for (size_t t = 0; t < count; ++t) {
+        const Flows f = runFlowTable(*tables[t], flat, xs);
+        EXPECT_TRUE(sameFlows(f, acc)) << tables[t]->isa;
+        for (size_t i = 0; i < c.numNodes(); ++i)
+            expectNear(f.node[i], node_ref[i], "node", i, tables[t]->isa);
+        for (size_t e = 0; e < flat.numEdges(); ++e)
+            expectNear(f.edge[e], edge_ref[e], "edge", e, tables[t]->isa);
+    }
+}
+
+} // namespace
+
+TEST(FlowBlock, EveryLaneFillAndTableAddsTheBitsOfALoneRow)
+{
+    Rng rng(61);
+    const simd::KernelTable *tables[8];
+    const size_t count = simd::runnableKernelTables(tables, 8);
+    util::ThreadPool serial(1);
+    size_t possible_rows = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+        const pc::Circuit c = gatedTestCircuit(rng);
+        const pc::FlatCircuit flat(c);
+        pc::CircuitEvaluator eval(flat, &serial);
+        std::vector<pc::Assignment> xs =
+            testutil::randomPartialAssignments(rng, c, 4, 0.25);
+        pc::Assignment filler(c.numVars(), pc::kMissing);
+        filler[0] = 1; // probability zero: adds exactly 0
+        std::vector<double> scratch = flowScratch(flat);
+        for (pc::Assignment &x : xs) {
+            x[0] = rng.bernoulli(0.5) ? 0 : pc::kMissing;
+            pc::FlowAccumulator alone(flat);
+            alone.add(x);
+            const double ll = eval.logLikelihood(x);
+            possible_rows += ll != kLogZero;
+            for (size_t t = 0; t < count; ++t)
+                for (size_t lane = 0; lane < simd::kLanes; ++lane)
+                    for (size_t live : {lane + 1, simd::kLanes}) {
+                        std::vector<const pc::Assignment *> block(
+                            simd::kLanes, &filler);
+                        block[lane] = &x;
+                        Flows f(flat);
+                        runFlowBlock(*tables[t], flat, block, live, scratch,
+                                     f);
+                        EXPECT_TRUE(sameFlows(f, alone))
+                            << tables[t]->isa << " trial " << trial
+                            << " lane " << lane << " live " << live;
+                        EXPECT_EQ(bits(f.rowLog[lane]), bits(ll))
+                            << tables[t]->isa << " lane " << lane;
+                    }
+        }
+    }
+    EXPECT_GT(possible_rows, 80u); // most rows carry flow
+}
+
+TEST(FlowBlock, EveryBatchShapeIsTheLeftFoldOfSingleRows)
+{
+    Rng rng(67);
+    const simd::KernelTable *tables[8];
+    const size_t count = simd::runnableKernelTables(tables, 8);
+    util::ThreadPool serial(1);
+    for (int trial = 0; trial < 12; ++trial) {
+        const pc::Circuit c = trial % 3 == 0
+                                  ? pc::randomCircuit(rng, 24, 3, 3, 6)
+                                  : gatedTestCircuit(rng);
+        const pc::FlatCircuit flat(c);
+        const std::vector<pc::Assignment> xs =
+            testutil::randomPartialAssignments(rng, c, 17, 0.25);
+        pc::CircuitEvaluator eval(flat, &serial);
+        std::vector<double> want_ll(xs.size());
+        eval.logLikelihoodBatch(xs, want_ll);
+        for (size_t n = 1; n <= xs.size(); ++n) {
+            // Rotating the rows puts each of them at every lane.
+            for (size_t shift : {size_t(0), n / 2}) {
+                std::vector<pc::Assignment> rows;
+                std::vector<double> rows_ll;
+                for (size_t i = 0; i < n; ++i) {
+                    rows.push_back(xs[(i + shift) % n]);
+                    rows_ll.push_back(want_ll[(i + shift) % n]);
+                }
+                pc::FlowAccumulator fold(flat);
+                for (const pc::Assignment &x : rows)
+                    fold.add(x);
+                const pc::DatasetFlows got =
+                    pc::accumulateDatasetFlows(flat, rows, {1, true},
+                                               &serial);
+                EXPECT_TRUE(sameBits(got.edgeFlow, fold.edgeFlow()))
+                    << "batch " << n << " shift " << shift;
+                EXPECT_TRUE(sameBits(got.nodeFlow, fold.nodeFlow()));
+                EXPECT_TRUE(sameBits(got.leafValueFlow, fold.leafValueFlow()));
+                EXPECT_TRUE(sameBits(got.logLikelihood, rows_ll))
+                    << "batch " << n << " shift " << shift;
+                for (size_t t = 0; t < count; ++t) {
+                    const Flows f = runFlowTable(*tables[t], flat, rows);
+                    EXPECT_TRUE(sameFlows(f, fold))
+                        << tables[t]->isa << " batch " << n;
+                    EXPECT_TRUE(sameBits(f.rowLog, rows_ll))
+                        << tables[t]->isa << " batch " << n;
+                }
+            }
+        }
+    }
+}
+
+TEST(FlowBlock, FlowsMatchSeedWalkerBelowTheDoubleRange)
+{
+    // LinearRootPass.LogProbabilitiesBelowTheDoubleRange's circuit:
+    // every root and most node values are far below the smallest double.
+    // Six rows: one tail block.
+    Rng rng(2024);
+    const pc::Circuit c = pc::randomCircuit(rng, 1500, 2, 8, 16);
+    const std::vector<pc::Assignment> xs = pc::sampleDataset(rng, c, 6);
+    expectFlowsMatchSeedWalker(c, xs, 0.0);
+}
+
+TEST(FlowBlock, ZeroMassLeavesAndZeroWeightEdgesCarryNoFlow)
+{
+    pc::Circuit c(3, 3);
+    const pc::NodeId a = c.addLeaf(0, {0.5, 0.0, 0.5});
+    const pc::NodeId b = c.addLeaf(1, {0.0, 1.0, 0.0});
+    const pc::NodeId d = c.addLeaf(2, {0.2, 0.3, 0.5});
+    const pc::NodeId e = c.addLeaf(0, {0.0, 0.0, 1.0});
+    const pc::NodeId p = c.addProduct({a, b});
+    const pc::NodeId q = c.addProduct({e, d});
+    // A zero-weight edge (set past addSum's normalization) into a node
+    // only it reaches, and a sum whose every weight is zero.
+    const pc::NodeId only_zero = c.addProduct({e, b});
+    const pc::NodeId s = c.addSum({p, only_zero, q}, {0.5, 0.25, 0.25});
+    c.mutableNode(s).weights = {0.5, 0.0, 0.5};
+    const pc::NodeId dead = c.addSum({p, q}, {0.5, 0.5});
+    c.mutableNode(dead).weights = {0.0, 0.0};
+    c.markRoot(c.addSum({s, dead, d}, {0.5, 0.25, 0.25}));
+    std::vector<pc::Assignment> xs;
+    for (uint32_t v0 : {0u, 1u, 2u, pc::kMissing})
+        for (uint32_t v1 : {0u, 1u, pc::kMissing})
+            for (uint32_t v2 : {1u, pc::kMissing})
+                xs.push_back({v0, v1, v2});
+    expectFlowsMatchSeedWalker(c, xs, 0.0);
+    pc::FlatCircuit flat(c);
+    pc::FlowAccumulator acc(flat);
+    for (const pc::Assignment &x : xs)
+        acc.add(x);
+    EXPECT_EQ(acc.nodeFlow()[only_zero], 0.0);
+    EXPECT_EQ(acc.nodeFlow()[dead], 0.0);
+    EXPECT_EQ(acc.edgeFlow()[flat.edgeOffset[s] + 1], 0.0);
+}
+
+TEST(FlowBlock, SubnormalSumFlowDoesNotInflateItsChildren)
+{
+    // The root gives a sum weight 1e-310, so that sum's flow, and its
+    // children's, are subnormal in the seed walker; they must stay that
+    // small here (logPositive is out of contract there).
+    pc::Circuit c(3, 2);
+    const pc::NodeId a = c.addLeaf(0, {0.25, 0.75});
+    const pc::NodeId b = c.addLeaf(1, {0.5, 0.5});
+    const pc::NodeId tiny_sum =
+        c.addSum({c.addProduct({a, b}), c.addLeaf(1, {0.9, 0.1})},
+                 {0.5, 0.5});
+    const pc::NodeId big = c.addProduct({a, c.addLeaf(2, {0.3, 0.7})});
+    c.markRoot(c.addSum({big, tiny_sum}, {1.0, 1e-310}));
+    std::vector<pc::Assignment> xs;
+    for (uint32_t v0 : {0u, 1u})
+        for (uint32_t v1 : {0u, 1u, pc::kMissing})
+            xs.push_back({v0, v1, 1});
+    expectFlowsMatchSeedWalker(c, xs, 1e-300);
 }
