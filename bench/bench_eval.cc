@@ -4,7 +4,7 @@
  * log-likelihood passes on a >=100k-node random circuit through the
  * reference AoS walker (Circuit::logLikelihood, one allocation per
  * call), the serial flat CSR engine (pc::CircuitEvaluator,
- * allocation-free batched), and the thread-parallel wavefront engine
+ * allocation-free batched), and the thread-parallel row-block engine
  * (same evaluator over a multi-worker pool, bit-identical results),
  * plus the linear-domain Dag-vs-core::Evaluator pair, the async
  * batch-serving engine (sys::ReasonEngine: cross-request coalescing
@@ -425,7 +425,7 @@ main(int argc, char **argv)
     size_t bitwise_failures = 0;
     size_t gate_failures = 0;
 
-    // --- threaded wavefront variant ------------------------------------
+    // --- threaded row-block variant ------------------------------------
     if (threads > 1) {
         util::ThreadPool mt_pool(threads);
         pc::CircuitEvaluator mt_eval(flat, &mt_pool);
@@ -435,7 +435,7 @@ main(int argc, char **argv)
         mt_eval.logLikelihoodBatch(data, mt_ll);
         double mt_ms = msSince(t0);
 
-        // The wavefront engine must be *bit-identical* to serial flat.
+        // The row-block split must be *bit-identical* to serial flat.
         size_t mismatches = 0;
         for (size_t i = 0; i < data.size(); ++i)
             if (mt_ll[i] != flat_ll[i])
@@ -458,55 +458,6 @@ main(int argc, char **argv)
         bitwise_failures += mismatches;
     } else {
         std::printf("threaded section skipped (1 worker)\n");
-    }
-
-    // --- reverse-wavefront derivatives (marginal-query backward pass) --
-    if (threads > 1) {
-        util::ThreadPool mt_pool(threads);
-        const size_t deriv_reps = std::min<size_t>(reps, 200);
-        std::vector<uint64_t> serial_hash(deriv_reps);
-        std::vector<double> logd;
-
-        pc::CircuitEvaluator s_eval(flat, &serial_pool);
-        // Warm scratch, then time upward + backward per assignment.
-        logDerivativesInto(flat, s_eval.evaluate(data[0]), logd,
-                           &serial_pool);
-        t0 = Clock::now();
-        for (size_t i = 0; i < deriv_reps; ++i) {
-            logDerivativesInto(flat, s_eval.evaluate(data[i]), logd,
-                               &serial_pool);
-            serial_hash[i] = bitHash(logd);
-        }
-        double deriv_flat_ms = msSince(t0);
-
-        pc::CircuitEvaluator mt_eval(flat, &mt_pool);
-        logDerivativesInto(flat, mt_eval.evaluate(data[0]), logd,
-                           &mt_pool);
-        size_t mismatches = 0;
-        t0 = Clock::now();
-        for (size_t i = 0; i < deriv_reps; ++i) {
-            logDerivativesInto(flat, mt_eval.evaluate(data[i]), logd,
-                               &mt_pool);
-            if (bitHash(logd) != serial_hash[i])
-                ++mismatches;
-        }
-        double deriv_mt_ms = msSince(t0);
-        double deriv_speedup = deriv_flat_ms / deriv_mt_ms;
-        std::printf("BENCH_JSON {\"bench\":\"bench_eval\",\"engine\":"
-                    "\"derivatives_mt\",\"nodes\":%zu,\"edges\":%zu,"
-                    "\"reps\":%zu,\"threads\":%u,\"flat_ms\":%.3f,"
-                    "\"mt_ms\":%.3f,\"speedup_vs_flat\":%.2f,"
-                    "\"bitwise_mismatches\":%zu%s}\n",
-                    circuit.numNodes(), circuit.numEdges(), deriv_reps,
-                    threads, deriv_flat_ms, deriv_mt_ms, deriv_speedup,
-                    mismatches, provenance);
-        std::printf("derivatives (%u workers): %.3f ms vs serial "
-                    "%.3f ms: %.2fx, %zu bitwise mismatches\n",
-                    threads, deriv_mt_ms, deriv_flat_ms, deriv_speedup,
-                    mismatches);
-        bitwise_failures += mismatches;
-    } else {
-        std::printf("derivatives section skipped (1 worker)\n");
     }
 
     // --- sharded EM fit -------------------------------------------------
@@ -783,7 +734,7 @@ main(int argc, char **argv)
     {
         // serveThreads is pinned to 1 so the measured factor isolates
         // cross-request coalescing (SoA batch amortization) from
-        // wavefront threading; every row runs through the canonical
+        // row-block threading; every row runs through the canonical
         // SIMD block kernel, so outputs must match bitwise.
         sys::ServeOptions sopts;
         sopts.maxBatch = max_batch;

@@ -183,21 +183,18 @@ buildLevelSchedule(size_t num_nodes,
         level[i] = lvl;
         max_level = std::max(max_level, lvl);
     }
-    const auto scheduled = [&](size_t i) {
-        return schedulable.empty() || schedulable[i] != 0;
-    };
     // Counting sort by level keeps ascending node id within a level.
     LevelSchedule s;
     s.offset.assign(max_level + 2, 0);
     for (size_t i = 0; i < num_nodes; ++i)
-        if (scheduled(i))
+        if (schedulable[i] != 0)
             ++s.offset[level[i] + 1];
     for (size_t l = 1; l < s.offset.size(); ++l)
         s.offset[l] += s.offset[l - 1];
     s.nodes.resize(s.offset.back());
     std::vector<uint32_t> cursor(s.offset.begin(), s.offset.end() - 1);
     for (size_t i = 0; i < num_nodes; ++i)
-        if (scheduled(i))
+        if (schedulable[i] != 0)
             s.nodes[cursor[level[i]]++] = uint32_t(i);
     return s;
 }

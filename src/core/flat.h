@@ -121,15 +121,15 @@ struct LevelSchedule
 /**
  * Compute the level (wavefront) schedule of a CSR DAG: a node's level
  * is one past its deepest operand (operand-free nodes are level 0).
- * `schedulable` restricts which nodes appear in the schedule (empty =
- * all); levels are always computed over every node, so filtered-out
- * leaves still anchor level 0.  Shared by core::lowerDag (operation
- * nodes only) and pc::FlatCircuit (all nodes).  O(nodes + edges).
+ * Only nodes with a nonzero `schedulable` entry appear in the schedule;
+ * levels are always computed over every node, so filtered-out leaves
+ * still anchor level 0.  core::lowerDag schedules its operation nodes
+ * with it.  O(nodes + edges).
  */
 LevelSchedule buildLevelSchedule(size_t num_nodes,
                                  std::span<const uint32_t> edge_offset,
                                  std::span<const uint32_t> edge_target,
-                                 std::span<const uint8_t> schedulable = {});
+                                 std::span<const uint8_t> schedulable);
 
 /**
  * Allocation-free evaluator over a FlatGraph.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/flat.h"
 #include "util/logging.h"
 #include "util/numeric.h"
 #include "util/parallel.h"
@@ -228,14 +227,6 @@ FlatCircuit::finalizeUpwardTopology(std::vector<uint32_t> outputs)
     const size_t n = types.size();
     reasonAssert(edgeOffset.size() == n + 1, "CSR offsets incomplete");
 
-    // Level (wavefront) schedule over all nodes: leaves sit in level 0
-    // (they are re-filled per assignment), interior nodes one past
-    // their deepest child.
-    core::LevelSchedule sched =
-        core::buildLevelSchedule(n, edgeOffset, edgeTarget);
-    levelOffset = std::move(sched.offset);
-    levelNodes = std::move(sched.nodes);
-
     maxFanIn = 0;
     for (size_t i = 0; i < n; ++i)
         maxFanIn = std::max(maxFanIn, edgeOffset[i + 1] - edgeOffset[i]);
@@ -294,9 +285,9 @@ FlatCircuit::finalizeTopology()
     finalizeUpwardTopology();
     const size_t n = types.size();
 
-    // Parent transpose in descending parent order: the downward
-    // gathers fold each node's incoming contributions in this fixed
-    // order, making flow/derivative sums deterministic by construction.
+    // Parent transpose in descending parent order: the flow kernel's
+    // downward gather folds each node's incoming contributions in this
+    // fixed order, making flow sums deterministic by construction.
     const size_t m = edgeTarget.size();
     parentOffset.assign(n + 1, 0);
     for (size_t i = 0; i < n; ++i)
@@ -316,81 +307,7 @@ FlatCircuit::finalizeTopology()
                 parentNode[k] = uint32_t(i);
             }
     }
-
-    maxParentFanIn = 0;
-    for (size_t i = 0; i < n; ++i)
-        maxParentFanIn = std::max(maxParentFanIn,
-                                  parentOffset[i + 1] - parentOffset[i]);
 }
-
-namespace {
-
-/**
- * Evaluate one circuit node into val[i] in the log domain — evaluate()'s
- * per-node kernel, shared by the serial id-order walk and the parallel
- * wavefront walk, so both give the same bits.
- */
-inline void
-evalCircuitNode(const FlatCircuit &flat, const Assignment &x, double *val,
-                double *terms, size_t i)
-{
-    const uint8_t *types = flat.types.data();
-    const uint32_t *off = flat.edgeOffset.data();
-    const uint32_t *tgt = flat.edgeTarget.data();
-    const double *lw = flat.edgeLogWeight.data();
-    switch (types[i]) {
-      case FlatCircuit::kLeaf: {
-        const uint32_t s = flat.leafSlot[i];
-        const uint32_t v = x[flat.leafVar[s]];
-        if (v == kMissing) {
-            val[i] = 0.0; // marginalized: sums to 1
-        } else {
-            reasonAssert(v < flat.arity, "assignment value out of range");
-            val[i] = flat.leafLogDist[size_t(s) * flat.arity + v];
-        }
-        break;
-      }
-      case FlatCircuit::kProduct: {
-        // Straight-line add (no early break): -inf absorbs and no
-        // operand can be +inf, so the result is unchanged and the
-        // loop stays branch-free.
-        double acc = 0.0;
-        for (uint32_t e = off[i]; e < off[i + 1]; ++e)
-            acc += val[tgt[e]];
-        val[i] = acc;
-        break;
-      }
-      case FlatCircuit::kSum: {
-        // Two-pass log-sum-exp: one max scan, then exp-accumulate
-        // against the max (one log per *node* instead of one
-        // log1p+exp per *edge*).  -inf terms are exact additive
-        // identities — skipped, never clamped.
-        const uint32_t lo = off[i];
-        const uint32_t hi_e = off[i + 1];
-        double hi = kLogZero;
-        for (uint32_t e = lo; e < hi_e; ++e) {
-            const double term = lw[e] + val[tgt[e]];
-            terms[e - lo] = term;
-            if (term > hi)
-                hi = term;
-        }
-        if (hi == kLogZero) {
-            val[i] = kLogZero;
-            break;
-        }
-        double acc = 0.0;
-        for (uint32_t e = lo; e < hi_e; ++e) {
-            const double term = terms[e - lo];
-            if (term != kLogZero)
-                acc += fastExpNonPositive(term - hi);
-        }
-        val[i] = hi + simd::fastLogPositive(acc);
-        break;
-      }
-    }
-}
-
-} // namespace
 
 CircuitEvaluator::CircuitEvaluator(const FlatCircuit &flat,
                                    util::ThreadPool *pool)
@@ -405,49 +322,6 @@ CircuitEvaluator::activePool() const
     // replace the global pool between evaluation phases, and a cached
     // pointer would dangle.
     return pool_ ? *pool_ : util::globalThreadPool();
-}
-
-void
-CircuitEvaluator::evaluateLevelSlice(const Assignment &x, size_t b,
-                                     size_t e, double *terms)
-{
-    double *val = logv_.data();
-    const uint32_t *sched = flat_.levelNodes.data();
-    for (size_t k = b; k < e; ++k)
-        evalCircuitNode(flat_, x, val, terms, sched[k]);
-}
-
-std::span<const double>
-CircuitEvaluator::evaluate(const Assignment &x)
-{
-    reasonAssert(x.size() >= flat_.numVars, "assignment too short");
-    const size_t n = flat_.numNodes();
-    util::ThreadPool &pool = activePool();
-    const size_t stripe = std::max<size_t>(flat_.maxFanIn, 1);
-    if (logv_.size() != n)
-        logv_.assign(n, kLogZero);
-    if (terms_.size() < stripe * pool.numThreads())
-        terms_.resize(stripe * pool.numThreads(), 0.0);
-    if (pool.numThreads() == 1) {
-        double *val = logv_.data();
-        for (size_t i = 0; i < n; ++i)
-            evalCircuitNode(flat_, x, val, terms_.data(), i);
-        return {logv_.data(), logv_.size()};
-    }
-
-    // Wavefront execution over the level schedule: one writer per node
-    // value, per-worker term scratch, unchanged per-node expressions —
-    // bit-identical to the serial walk for any thread count.
-    for (size_t l = 0; l < flat_.numLevels(); ++l) {
-        pool.parallelFor(
-            flat_.levelOffset[l], flat_.levelOffset[l + 1],
-            kMinNodesPerChunk,
-            [&](size_t b, size_t e, unsigned worker) {
-                evaluateLevelSlice(x, b, e,
-                                   terms_.data() + worker * stripe);
-            });
-    }
-    return {logv_.data(), logv_.size()};
 }
 
 double
@@ -537,147 +411,6 @@ CircuitEvaluator::runRootPass(const Assignment *xs, size_t num_rows,
                         out[(base + i) * outs + o] = vals[o * B + i];
             }
         });
-}
-
-namespace {
-
-/**
- * Per-product-node derivative quantities: count of zero-valued
- * children, the (last) zero child, and the finite log-sum of the
- * rest.  finiteSum folds the child values in CSR edge order — one
- * fixed order on every path, which the bit-identity contract depends
- * on.
- */
-struct ProdDerivInfo
-{
-    uint32_t zeros = 0;
-    uint32_t zeroChild = kInvalidNode;
-    double finiteSum = 0.0;
-};
-
-inline ProdDerivInfo
-productDerivInfo(const FlatCircuit &flat, const double *logv, size_t i)
-{
-    const uint32_t *off = flat.edgeOffset.data();
-    const uint32_t *tgt = flat.edgeTarget.data();
-    ProdDerivInfo info;
-    for (uint32_t e = off[i]; e < off[i + 1]; ++e) {
-        const uint32_t c = tgt[e];
-        if (logv[c] == kLogZero) {
-            ++info.zeros;
-            info.zeroChild = c;
-        } else {
-            info.finiteSum += logv[c];
-        }
-    }
-    return info;
-}
-
-} // namespace
-
-void
-logDerivativesInto(const FlatCircuit &flat, std::span<const double> logv,
-                   std::vector<double> &logd, util::ThreadPool *pool)
-{
-    const size_t n = flat.numNodes();
-    reasonAssert(logv.size() == n, "log-value/graph size mismatch");
-    reasonAssert(flat.parentOffset.size() == n + 1,
-                 "derivative pass needs the parent transpose");
-    logd.assign(n, kLogZero);
-
-    const uint8_t *types = flat.types.data();
-
-    util::ThreadPool &active =
-        pool ? *pool : util::globalThreadPool();
-
-    // Reverse wavefront gather — the canonical backward kernel for
-    // every thread count (a 1-thread pool runs it inline, so results
-    // are trivially bit-identical across thread counts).  Levels are
-    // walked top-down; each node gathers its incoming derivative terms
-    // from its finalized parents through the transpose
-    // into a contiguous stripe (stored descending-parent
-    // order), then reduces them with the canonical two-pass SIMD
-    // logsumexp (-inf terms are exact identities).  One writer per
-    // logd entry, no atomics.  When a node turns out to be a product
-    // with nonzero derivative, its (zero count, finite sum) pair is
-    // tabulated immediately — its children sit in strictly lower
-    // levels, so the per-level barrier publishes the entry before any
-    // reader, and zero-derivative products are never tabulated at all.
-    // The tables persist per calling thread: repeated marginal queries
-    // reuse them allocation-free once grown.
-    thread_local std::vector<double> prod_sum_tls;
-    thread_local std::vector<uint8_t> prod_zeros_tls;
-    thread_local std::vector<double> term_tls;
-    // Terms per node: one per incoming parent edge plus the root seed.
-    const size_t stripe = size_t(flat.maxParentFanIn) + 1;
-    const size_t term_size = stripe * active.numThreads();
-    if (prod_sum_tls.size() < n) {
-        prod_sum_tls.resize(n);
-        prod_zeros_tls.resize(n);
-    }
-    if (term_tls.size() < term_size)
-        term_tls.resize(term_size);
-    // Raw views: a thread_local named inside a lambda would resolve to
-    // each *worker's* (empty) instance, not the caller's.
-    double *prod_sum = prod_sum_tls.data();
-    uint8_t *prod_zeros = prod_zeros_tls.data();
-    double *term_base = term_tls.data();
-
-    const uint32_t *poff = flat.parentOffset.data();
-    const uint32_t *psrc = flat.parentNode.data();
-    const uint32_t *pedge = flat.parentEdge.data();
-    const double *lw = flat.edgeLogWeight.data();
-    double *d = logd.data();
-    const simd::KernelTable &kernels = simd::activeKernels();
-    // Per-node kernel, shared by both traversals below: the result
-    // depends only on the (finalized) parents, not on traversal order.
-    auto gatherNode = [&](uint32_t c, double *terms) {
-        size_t cnt = 0;
-        if (c == flat.root)
-            terms[cnt++] = 0.0; // dRoot/dRoot == 1
-        for (uint32_t pe = poff[c]; pe < poff[c + 1]; ++pe) {
-            const uint32_t p = psrc[pe];
-            const double dp = d[p];
-            double t = kLogZero; // masked: exact identity
-            if (dp != kLogZero) {
-                if (types[p] == FlatCircuit::kSum) {
-                    const double w = lw[pedge[pe]];
-                    if (w != kLogZero)
-                        t = dp + w;
-                } else if (prod_zeros[p] == 0) {
-                    t = dp + prod_sum[p] - logv[c];
-                } else if (prod_zeros[p] == 1 && logv[c] == kLogZero) {
-                    t = dp + prod_sum[p];
-                }
-            }
-            terms[cnt++] = t;
-        }
-        const double dc = kernels.logSumExpMasked(terms, cnt);
-        d[c] = dc;
-        if (types[c] == FlatCircuit::kProduct && dc != kLogZero) {
-            const ProdDerivInfo info =
-                productDerivInfo(flat, logv.data(), c);
-            prod_sum[c] = info.finiteSum;
-            prod_zeros[c] = uint8_t(std::min<uint32_t>(info.zeros, 2));
-        }
-    };
-    if (active.numThreads() == 1) {
-        // Parents always carry higher ids than their children, so a
-        // reverse id scan finalizes every parent before its children —
-        // same kernel, cache-friendly sequential streams.
-        for (size_t i = n; i-- > 0;)
-            gatherNode(uint32_t(i), term_base);
-        return;
-    }
-    for (size_t l = flat.numLevels(); l-- > 0;)
-        active.parallelFor(
-            flat.levelOffset[l], flat.levelOffset[l + 1],
-            kMinWavefrontNodesPerChunk,
-            [&](size_t b, size_t e, unsigned worker) {
-                double *terms = term_base + worker * stripe;
-                for (size_t k = b; k < e; ++k)
-                    gatherNode(flat.levelNodes[k], terms);
-            });
 }
 
 namespace {

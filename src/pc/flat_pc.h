@@ -9,12 +9,13 @@
  * likelihoods over a dataset, EM flows, entropy estimates, marginal
  * sweeps — pays that per sample.  `FlatCircuit` lowers the circuit once
  * into contiguous arrays with *pre-computed* edge log-weights and leaf
- * log-distributions, plus a compiled slot program for root passes;
- * `CircuitEvaluator` and `FlowAccumulator` then run upward and
- * upward-and-downward passes over reusable scratch, allocation-free,
- * as 8-row blocks through runtime-dispatched kernels of the 8-lane SIMD
- * layer (util/simd.h) — one canonical kernel per pass, bit-identical
- * across batch shapes, thread counts, and SIMD backends.
+ * log-distributions, plus a compiled slot program for root passes.
+ * Two runtime-dispatched kernels of the 8-lane SIMD layer (util/simd.h)
+ * then serve every query, over reusable scratch, as 8-row blocks: the
+ * upward one (`CircuitEvaluator`'s root passes) and the downward one
+ * (`FlowAccumulator`'s flow pass, which also answers posterior
+ * marginals) — each bit-identical across batch shapes, thread counts,
+ * and SIMD backends.
  */
 
 #ifndef REASON_PC_FLAT_PC_H
@@ -38,20 +39,16 @@ namespace pc {
 /**
  * CSR lowering of a Circuit with log-space constants baked in.
  *
- * Besides the forward (child) CSR, the lowering computes two schedules
- * used by the thread-parallel evaluators:
+ * Besides the forward (child) CSR, the lowering derives:
  *
- *  - a **level (wavefront) schedule** over *all* nodes (leaves are
- *    level 0; an interior node sits one past its deepest child), so
- *    upward passes can evaluate each level as a data-parallel slice;
+ *  - a **root-pass slot program** (RootProgram), the compiled form of
+ *    the upward pass that logLikelihood, logLikelihoodBatch, the
+ *    approximate tier and the flow kernel's upward half run;
  *  - a **parent transpose** (CSC view) listing, per node, the forward
  *    edge ids arriving from its parents in *descending parent order*,
- *    plus the parent of each (parentNode), so the downward passes (the
- *    flow kernel, logDerivativesInto) gather flows/derivatives with one
- *    writer per node and a deterministic fold order;
- *  - a **root-pass slot program** (RootProgram), the compiled form of
- *    the upward pass that logLikelihood, logLikelihoodBatch and the
- *    approximate tier run.
+ *    plus the parent of each (parentNode), so the flow kernel's
+ *    downward half gathers each node's flow with one writer per node
+ *    and a deterministic fold order.
  *
  * FlatCircuit is immutable after construction and safe for concurrent
  * unsynchronized reads; many evaluators may share one instance.
@@ -73,32 +70,26 @@ class FlatCircuit
     FlatCircuit() = default;
 
     /**
-     * Derive the level schedule, root-pass program, parent transpose,
-     * and fan-in bounds from the filled CSR arrays.  Identical to the
-     * tail of the Circuit constructor, so a directly-built circuit is
-     * indistinguishable from a lowered one.  Requires a valid root and
-     * topological (child-before-parent) node order.
+     * Derive the root-pass program, parent transpose and fan-in bound
+     * from the filled CSR arrays.  Identical to the tail of the Circuit
+     * constructor, so a directly-built circuit is indistinguishable
+     * from a lowered one.  Requires a valid root and topological
+     * (child-before-parent) node order.
      */
     void finalizeTopology();
 
     /**
-     * The upward half of finalizeTopology(): the level schedule,
-     * maxFanIn and the root-pass program, but no parent transpose (16
-     * bytes per edge and 4 per node).  Enough for CircuitEvaluator; the
-     * downward passes (FlowAccumulator, logDerivativesInto) reject such
-     * a circuit.  `outputs` lists the nodes the program reports, in
-     * order; empty selects {root}.
+     * The upward half of finalizeTopology(): maxFanIn and the root-pass
+     * program, but no parent transpose (8 bytes per edge and 4 per
+     * node).  Enough for CircuitEvaluator; the flow pass
+     * (FlowAccumulator) rejects such a circuit.  `outputs` lists the
+     * nodes the program reports, in order; empty selects {root}.
      */
     void finalizeUpwardTopology(std::vector<uint32_t> outputs = {});
 
     size_t numNodes() const { return types.size(); }
     size_t numEdges() const { return edgeTarget.size(); }
     size_t numLeaves() const { return leafVar.size(); }
-    size_t
-    numLevels() const
-    {
-        return levelOffset.empty() ? 0 : levelOffset.size() - 1;
-    }
 
     /** Per-node type (NodeType). */
     std::vector<uint8_t> types;
@@ -117,10 +108,6 @@ class FlatCircuit
     std::vector<uint32_t> leafVar;
     /** Packed per-leaf log distributions: [slot * arity + value]. */
     std::vector<double> leafLogDist;
-    /** Wavefront offsets into levelNodes; size numLevels()+1. */
-    std::vector<uint32_t> levelOffset;
-    /** All nodes grouped by level (leaves in level 0). */
-    std::vector<uint32_t> levelNodes;
     /** Transpose offsets: parents of node i are parentEdge[parentOffset[i]
      *  .. parentOffset[i+1]); size numNodes()+1. */
     std::vector<uint32_t> parentOffset;
@@ -182,45 +169,26 @@ class FlatCircuit
     uint32_t root = kInvalidNode;
     /** Largest child fan-in of any node (sum/product arity bound). */
     uint32_t maxFanIn = 0;
-    /** Largest parent fan-in (transpose row width bound). */
-    uint32_t maxParentFanIn = 0;
 };
 
 /**
- * Smallest wavefront (level slice) worth splitting across pool
- * workers; shared by every parallel pass over a FlatCircuit so the
- * grain is tuned in one place.
- */
-inline constexpr size_t kMinWavefrontNodesPerChunk = 2048;
-
-/**
- * Allocation-free evaluator.  Agrees with Circuit::evaluate /
+ * Allocation-free root-pass evaluator.  Agrees with
  * Circuit::logLikelihood to the 1e-12 reference contract.  The
  * referenced FlatCircuit must outlive the evaluator.
  *
- * **Two kernels, one per kind of pass.**
- *  - *Root passes* (logLikelihood, logLikelihoodBatch, evaluateOutputs,
- *    evaluateOutputsBatch) run the circuit's slot program through one
- *    runtime-dispatched block kernel (simd::runSlotProgram), in an
- *    exponent-tracked linear domain: no exp per edge, one log per
- *    output.  Every row runs in an 8-lane block — a single row fills
- *    all lanes, a batch tail repeats its last row, and only live lanes
- *    are stored — and lanes never interact, so every row's value is
- *    **bit-identical** regardless of batch size, batch composition,
- *    tail position, thread count, or kernel table: the guarantee the
- *    serving engine's coalescing relies on.
- *  - *evaluate()* keeps the log-domain per-node walk (two-pass
- *    logsumexp per sum, `-inf` terms masked), because the derivative
- *    pass (logDerivativesInto) and the marginal queries built on it
- *    read every node's log value.  (FlowAccumulator does not: its
- *    kernel stores node values in the linear domain's own upward
- *    half.)  It is bit-identical across thread counts; its root value
- *    agrees with logLikelihood within the 1e-12 contract, not bitwise.
+ * Every pass (logLikelihood, logLikelihoodBatch, evaluateOutputs,
+ * evaluateOutputsBatch) runs the circuit's slot program through one
+ * runtime-dispatched block kernel (simd::runSlotProgram), in an
+ * exponent-tracked linear domain: no exp per edge, one log per output.
+ * Every row runs in an 8-lane block — a single row fills all lanes, a
+ * batch tail repeats its last row, and only live lanes are stored — and
+ * lanes never interact, so every row's value is **bit-identical**
+ * regardless of batch size, batch composition, tail position, thread
+ * count, or kernel table: the guarantee the serving engine's coalescing
+ * relies on.  The downward half lives in FlowAccumulator.
  *
  * **Threading.**  With a multi-worker pool (explicit or the global
- * pool), evaluate() runs each wavefront of the level schedule in
- * parallel (per-worker term scratch, one writer per node value) and
- * the batched root passes split the row-block dimension across
+ * pool), the batched passes split the row-block dimension across
  * workers (private slot scratch per worker, sized by the program's
  * live slots, not the node count).
  *
@@ -239,14 +207,9 @@ class CircuitEvaluator
                               util::ThreadPool *pool = nullptr);
 
     /**
-     * Upward pass; returns per-node log values valid until the next
-     * evaluate call.  kMissing variables are marginalized out.
-     */
-    std::span<const double> evaluate(const Assignment &x);
-
-    /**
-     * log P(x): one root pass, the row in every lane of one block.
-     * Requires the program's outputs to be {root} (the default).
+     * log P(x): one root pass, the row in every lane of one block;
+     * kMissing variables are marginalized out.  Requires the program's
+     * outputs to be {root} (the default).
      */
     double logLikelihood(const Assignment &x);
 
@@ -281,61 +244,21 @@ class CircuitEvaluator
     static constexpr size_t kBlock = 8;
 
     const FlatCircuit &flat() const { return flat_; }
-    /**
-     * Per-node log values of the most recent evaluate(); empty before
-     * the first.  Root passes neither use nor update this view.
-     */
-    const std::vector<double> &values() const { return logv_; }
 
   private:
-    static constexpr size_t kMinNodesPerChunk =
-        kMinWavefrontNodesPerChunk;
-
     /** The explicit pool, or the (possibly reconfigured) global one. */
     util::ThreadPool &activePool() const;
     /** Root pass over rows[0..n) (n >= 1): the values of every program
      *  output, row-major, into out. */
     void runRootPass(const Assignment *rows, size_t n, double *out);
-    /** Evaluate nodes [b, e) of the level schedule for assignment x. */
-    void evaluateLevelSlice(const Assignment &x, size_t b, size_t e,
-                            double *terms);
 
     const FlatCircuit &flat_;
     /** Explicit pool, or nullptr = resolve the global pool per call. */
     util::ThreadPool *pool_;
-    /** evaluate()'s per-node values and per-sum-node term stripes
-     *  (maxFanIn per worker); both allocated by the first evaluate(). */
-    std::vector<double> logv_;
-    std::vector<double> terms_;
     /** Per-worker root-pass scratch: program slots, then one block of
      *  output values (lazy). */
     std::vector<double> slots_;
 };
-
-/**
- * Log-space backward (derivative) pass over the flat circuit, writing
- * log dRoot/dv_n into `logd` (resized to numNodes).  `logv` must be the
- * upward pass for the same assignment.  Agrees with pc::logDerivatives
- * to the 1e-10 differential contract.
- *
- * The pass is a transpose *gather* with one shared per-node kernel:
- * each node collects its incoming derivative terms from its finalized
- * parents (through the transpose, descending-parent order) into
- * a contiguous buffer and reduces them with the canonical two-pass
- * SIMD logsumexp (simd::logSumExpMasked — -inf terms are exact
- * identities); product parents use (zero count, finite sum) tables
- * tabulated lazily when the product's own derivative is finalized.
- * A 1-thread pool walks nodes in reverse id order (parents carry
- * higher ids, so they are always finalized first — sequential,
- * cache-friendly); a multi-worker pool walks the reverse level
- * schedule.  The kernel's result depends only on the parents, not the
- * traversal, so results are bit-identical for any thread count.  One
- * writer per logd entry, no atomics.
- */
-void logDerivativesInto(const FlatCircuit &flat,
-                        std::span<const double> logv,
-                        std::vector<double> &logd,
-                        util::ThreadPool *pool = nullptr);
 
 struct DatasetFlows;
 struct FlowShardOptions;

@@ -1,7 +1,6 @@
 #include "pc/queries.h"
 
 #include <cmath>
-#include <span>
 #include <vector>
 
 #include "pc/flat_cache.h"
@@ -94,57 +93,40 @@ posteriorMarginals(const Circuit &circuit, const Assignment &evidence)
 {
     reasonAssert(evidence.size() == circuit.numVars(),
                  "evidence must cover all circuit variables");
-    // Flat path: the upward pass is shared between the evidence
-    // likelihood and the backward derivative pass (one pass instead of
-    // the two the reference walkers would make); the lowering itself is
-    // shared across calls through the flat cache.
+    const uint32_t arity = circuit.arity();
+    // Checked here: the flow kernel range-checks only the leaves its
+    // program holds, which skips a variable without leaves and one
+    // whose leaves sit only under zero-weight edges.
+    for (uint32_t val : evidence)
+        reasonAssert(val == kMissing || val < arity,
+                     "evidence value out of range");
+
+    // One flow pass over the cached lowering.  A leaf of an unobserved
+    // variable has value 1, so its flow is dRoot/dLeaf / P(e), and
+    // P(v = val | e) = sum over v's leaves L of flow(L) * dist_L[val].
     std::shared_ptr<const FlatCircuit> flat = cachedLowering(circuit);
-    CircuitEvaluator eval(*flat);
-    std::span<const double> logv = eval.evaluate(evidence);
-    double log_e = logv[flat->root];
-    if (log_e == kLogZero)
+    const DatasetFlows flows =
+        accumulateDatasetFlows(*flat, {evidence}, {1, true});
+    if (flows.logLikelihood[0] == kLogZero)
         fatal("posteriorMarginals: evidence has zero probability");
 
-    std::vector<double> logd;
-    logDerivativesInto(*flat, logv, logd);
-
     MarginalTable table;
-    table.prob.assign(circuit.numVars(),
-                      std::vector<double>(circuit.arity(), 0.0));
-    std::vector<bool> observed(circuit.numVars(), false);
-    for (uint32_t v = 0; v < circuit.numVars(); ++v) {
-        if (evidence[v] != kMissing) {
-            observed[v] = true;
-            table.prob[v][evidence[v]] = 1.0;
-        }
-    }
-
-    // P(v = val, e) = sum over leaves of v of d_leaf * dist[val]; the
-    // leaf log-densities are pre-computed in the flat lowering.
-    std::vector<std::vector<double>> joint(
-        circuit.numVars(), std::vector<double>(circuit.arity(), kLogZero));
-    for (size_t i = 0; i < circuit.numNodes(); ++i) {
-        if (flat->types[i] != FlatCircuit::kLeaf)
-            continue;
+    table.prob.assign(circuit.numVars(), std::vector<double>(arity, 0.0));
+    for (size_t i = 0; i < flat->numNodes(); ++i) {
         const uint32_t slot = flat->leafSlot[i];
+        if (slot == kInvalidNode)
+            continue;
         const uint32_t var = flat->leafVar[slot];
-        if (observed[var] || logd[i] == kLogZero)
+        const double flow = flows.nodeFlow[i];
+        if (evidence[var] != kMissing || flow == 0.0)
             continue;
-        for (uint32_t val = 0; val < circuit.arity(); ++val) {
-            double log_dist =
-                flat->leafLogDist[size_t(slot) * circuit.arity() + val];
-            if (log_dist == kLogZero)
-                continue;
-            joint[var][val] =
-                logAdd(joint[var][val], logd[i] + log_dist);
-        }
+        const double *log_dist = &flat->leafLogDist[size_t(slot) * arity];
+        for (uint32_t val = 0; val < arity; ++val)
+            table.prob[var][val] += flow * std::exp(log_dist[val]);
     }
-    for (uint32_t v = 0; v < circuit.numVars(); ++v) {
-        if (observed[v])
-            continue;
-        for (uint32_t val = 0; val < circuit.arity(); ++val)
-            table.prob[v][val] = std::exp(joint[v][val] - log_e);
-    }
+    for (uint32_t v = 0; v < circuit.numVars(); ++v)
+        if (evidence[v] != kMissing)
+            table.prob[v][evidence[v]] = 1.0;
     return table;
 }
 

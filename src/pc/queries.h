@@ -1,8 +1,8 @@
 /**
  * @file
  * Advanced probabilistic-circuit queries: conditionals, posterior
- * marginals via a log-space backward (derivative) pass, conditional
- * sampling, entropy, expectations, and pairwise mutual information.
+ * marginals from one circuit-flow pass, conditional sampling, entropy,
+ * expectations, and pairwise mutual information.
  *
  * These are the query types the paper's probabilistic workloads issue
  * against their circuits (R2-Guard risk posteriors, NeuroPC
@@ -44,9 +44,14 @@ struct MarginalTable
 };
 
 /**
- * All-variable posterior marginals with one upward evaluation and one
- * log-space backward (derivative) pass — O(edges) regardless of how many
- * marginals are read.  Observed variables get an indicator row.
+ * All-variable posterior marginals from one flow pass of the flow
+ * kernel (accumulateDatasetFlows over the single evidence row) —
+ * O(edges) regardless of how many marginals are read.  A leaf of an
+ * unobserved variable has value 1, so its flow is dRoot/dLeaf / P(e),
+ * and P(v = val | e) is the sum over v's leaves of flow x dist[val].
+ * Observed variables get an indicator row.  Panics on an evidence value
+ * outside [0, arity) that is not kMissing; fatal()s when the evidence
+ * has zero probability.
  */
 MarginalTable posteriorMarginals(const Circuit &circuit,
                                  const Assignment &evidence);
@@ -54,7 +59,8 @@ MarginalTable posteriorMarginals(const Circuit &circuit,
 /**
  * Per-node log-derivatives d log root / d log value(n) companion:
  * log ∂root/∂v_n in linear terms, computed against the upward log-value
- * pass for `x`.  Exposed for tests and for flow-style diagnostics.
+ * pass for `x`.  The seed reference walker that posteriorMarginals is
+ * checked against; exposed for tests and diagnostics.
  */
 std::vector<double> logDerivatives(const Circuit &circuit,
                                    const Assignment &x);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Minimal reusable thread pool with a deterministic parallel-for, the
- * software backbone of wavefront (level-parallel) execution in the flat
- * kernel engines (core/flat.h, pc/flat_pc.h).
+ * software backbone of the flat kernel engines' parallel passes:
+ * core/flat.h's level wavefronts, and pc/flat_pc.h's row-block splits
+ * (batched root passes) and sample shards (dataset flows).
  *
  * Design contract, relied on by every flat evaluator:
  *
@@ -19,7 +20,7 @@
  *    floating-point expression).
  *  - **Inline fallback.**  Ranges smaller than twice `min_grain` (and
  *    all work on a 1-thread pool) run inline on the caller with zero
- *    synchronization, so sprinkling parallelFor over small levels is
+ *    synchronization, so sprinkling parallelFor over small ranges is
  *    free.
  *
  * Thread-safety: a ThreadPool may be shared by many evaluators, but

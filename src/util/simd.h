@@ -42,18 +42,19 @@
  *    subnormal, negative, and non-finite inputs are out of contract
  *    (no traps or NaNs for +0, but the value is meaningless — callers
  *    mask such lanes).
- *  - `runSlotProgram` (the root-pass kernel) computes in an
- *    exponent-tracked linear domain: products and sums of [1, 2)
- *    mantissas with integer exponents, exact power-of-two alignment,
- *    and one `logMantExp` per output.  Its values agree with the
- *    log-domain walk to ~1e-15 relative per operation; zero mass is
- *    exactly -inf.
- *  - `runFlowBlock` (the flow kernel) runs that root pass upward, then
- *    a downward gather with one `expNonPositive` per sum edge and one
- *    `logPositive` per sum node, flushing flows below the normal range
- *    to no flow.  Its flows agree with the seed walker to 1e-10 (the
- *    differential harness), and its root log values are the root
- *    pass's, bit for bit.
+ *  - `runSlotProgram` (the root-pass kernel, the one upward circuit
+ *    kernel) computes in an exponent-tracked linear domain: products
+ *    and sums of [1, 2) mantissas with integer exponents, exact
+ *    power-of-two alignment, and one `logMantExp` per output.  Its
+ *    values agree with the seed log-domain walker (Circuit::evaluate)
+ *    to ~1e-15 relative per operation; zero mass is exactly -inf.
+ *  - `runFlowBlock` (the flow kernel, the one downward circuit kernel:
+ *    EM's E-step, flow pruning and posterior marginals all run it)
+ *    runs that root pass upward, then a downward gather with one
+ *    `expNonPositive` per sum edge and one `logPositive` per sum node,
+ *    flushing flows below the normal range to no flow.  Its flows
+ *    agree with the seed walker to 1e-10 (the differential harness),
+ *    and its root log values are the root pass's, bit for bit.
  *
  * The vectorizer-resistant reference kernels used by `bench_eval` to
  * measure the SIMD speedup honestly are marked `REASON_NOVECTORIZE`
@@ -1099,66 +1100,6 @@ logPositive(Pack x)
         sub(fromBits(orI(shrI<52>(bits), splatI(kMagicBits))),
             splat(kMagic));
     return logMantExp(m, sub(ed, splat(1023.0)));
-}
-
-/**
- * log(sum_i exp(xs[i])) over a contiguous buffer with the canonical
- * two-pass kernel: vectorized max scan, then masked exp-accumulation
- * into 8 lane partials folded by the fixed reduction tree, then one
- * `fastLogPositive`.  `kLogZero` entries are exact additive identities
- * (they are masked out, not clamped), so the result matches a chained
- * `logAdd` fold to ~1e-15.  Returns kLogZero when every term (or n
- * itself) is zero/-inf.  Deterministic for a given n on every backend.
- */
-inline double
-logSumExpMasked(const double *xs, size_t n)
-{
-    if (n == 0)
-        return kLogZero;
-    if (n == 1)
-        return xs[0]; // == hi + log(exp(0)) == hi + 0 exactly
-    if (n <= kLanes) {
-        // Small fan-in fast path (the common case in circuit
-        // transposes): same masked lanes and the same fixed reduction
-        // tree as the pack path below — bit-identical — without the
-        // pack/buffer round trips.
-        double hi = xs[0];
-        for (size_t i = 1; i < n; ++i)
-            hi = xs[i] > hi ? xs[i] : hi;
-        if (hi == kLogZero)
-            return kLogZero;
-        double c[kLanes] = {0, 0, 0, 0, 0, 0, 0, 0};
-        for (size_t i = 0; i < n; ++i)
-            c[i] = xs[i] == kLogZero ? 0.0
-                                     : fastExpNonPositive(xs[i] - hi);
-        return hi + fastLogPositive(((c[0] + c[1]) + (c[2] + c[3])) +
-                                    ((c[4] + c[5]) + (c[6] + c[7])));
-    }
-    const Pack neg_inf = splat(kLogZero);
-    Pack hi_v = neg_inf;
-    size_t i = 0;
-    for (; i + kLanes <= n; i += kLanes)
-        hi_v = max(hi_v, load(xs + i));
-    if (i < n)
-        hi_v = max(hi_v, loadN(xs + i, n - i, kLogZero));
-    const double hi = reduceMax(hi_v);
-    if (hi == kLogZero)
-        return kLogZero;
-
-    const Pack hi_p = splat(hi);
-    const Pack zero = splat(0.0);
-    Pack acc = zero;
-    for (i = 0; i + kLanes <= n; i += kLanes) {
-        const Pack t = load(xs + i);
-        const Pack e = expNonPositive(sub(t, hi_p));
-        acc = add(acc, select(cmpEq(t, neg_inf), zero, e));
-    }
-    if (i < n) {
-        const Pack t = loadN(xs + i, n - i, kLogZero);
-        const Pack e = expNonPositive(sub(t, hi_p));
-        acc = add(acc, select(cmpEq(t, neg_inf), zero, e));
-    }
-    return hi + fastLogPositive(reduceAdd(acc));
 }
 
 /**

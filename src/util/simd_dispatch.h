@@ -24,8 +24,8 @@
  *
  * The dispatched surface is the array-shaped hot path: the root-pass
  * slot program and the flow pass (one call walks a whole compiled
- * circuit over one 8-row block, upward or upward and downward), the
- * derivative gather's logsumexp and the reduction merges.
+ * circuit over one 8-row block, upward or upward and downward) and the
+ * reduction merges.
  * Lane-op-heavy code that inlines pack primitives directly (the HMM
  * leaf batches, core/flat.cc) keeps the compile-time backend — a
  * function-pointer boundary per lane op would cost more than the wider
@@ -56,7 +56,6 @@ struct KernelTable
 {
     /** Backend name: "avx512f", "avx2", "sse2", "neon", "scalar". */
     const char *isa;
-    double (*logSumExpMasked)(const double *xs, size_t n);
     void (*addInto)(double *dst, const double *src, size_t n);
     /** simd::runSlotProgram: the whole walk runs in this ISA. */
     bool (*runSlotProgram)(const SlotProgram &program,

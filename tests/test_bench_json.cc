@@ -216,7 +216,6 @@ TEST(BenchJsonSchema, EveryEmittedLineParsesAndMatchesSchema)
 
         // Engine-pair specific schema.
         const bool is_mt = engine->text == "circuit_loglik_mt" ||
-                           engine->text == "derivatives_mt" ||
                            engine->text == "em_fit";
         const bool is_simd_kernel =
             engine->text == "kernel_logsumexp" ||
@@ -448,10 +447,10 @@ TEST(BenchJsonSchema, EveryEmittedLineParsesAndMatchesSchema)
 
     // Every engine pair appears exactly once per run.
     for (const char *engine :
-         {"circuit_loglik", "circuit_loglik_mt", "derivatives_mt",
-          "em_fit", "kernel_logsumexp", "hmm_leaf_batch", "serving",
-          "serving_mt", "approx_tier", "compile_flat", "dram_model",
-          "fault_recovery", "dag_eval"}) {
+         {"circuit_loglik", "circuit_loglik_mt", "em_fit",
+          "kernel_logsumexp", "hmm_leaf_batch", "serving", "serving_mt",
+          "approx_tier", "compile_flat", "dram_model", "fault_recovery",
+          "dag_eval"}) {
         EXPECT_EQ(engines[engine], 1)
             << "engine " << engine << " missing or duplicated";
     }
@@ -489,7 +488,6 @@ TEST(BenchJsonSchema, SingleThreadRunSkipsMtVariantsAndExitsZero)
     // threads, so it too runs in every --threads configuration.
     EXPECT_EQ(engines["fault_recovery"], 1);
     EXPECT_EQ(engines["circuit_loglik_mt"], 0);
-    EXPECT_EQ(engines["derivatives_mt"], 0);
     EXPECT_EQ(engines["em_fit"], 0);
     EXPECT_EQ(engines["serving_mt"], 0);
 #endif

@@ -1,12 +1,12 @@
 /**
  * @file
- * Tests for thread-parallel wavefront execution and the lowering cache:
- * every parallel path (core::Evaluator single/batch, pc::CircuitEvaluator
- * single/batch, pc::FlowAccumulator upward+downward, the reverse-
- * wavefront logDerivativesInto, sharded dataset flows, sharded EM, and
- * sharded Baum-Welch in deterministic mode) must be *bit-identical* to
- * the serial flat path across thread counts {1, 2, 4, 8}, and
- * cachedLowering must hit on unchanged structures and miss on mutation.
+ * Tests for thread-parallel execution and the lowering cache: every
+ * parallel path (core::Evaluator's wavefronts single/batch,
+ * pc::CircuitEvaluator's row-block batches, pc::FlowAccumulator, sharded
+ * dataset flows, sharded EM, and sharded Baum-Welch in deterministic
+ * mode) must be *bit-identical* to the serial flat path across thread
+ * counts {1, 2, 4, 8}, and cachedLowering must hit on unchanged
+ * structures and miss on mutation.
  */
 
 #include <gtest/gtest.h>
@@ -95,22 +95,6 @@ randomDag(Rng &rng, uint32_t num_inputs, uint32_t num_consts,
     }
     dag.validate();
     return dag;
-}
-
-/**
- * Largest wavefront of a lowering.  The bit-identity sweeps assert it
- * exceeds the split grain, so the multi-worker paths (and their TSan
- * coverage) cannot silently degrade into inline execution if the test
- * circuits shrink or the grain grows.
- */
-uint32_t
-maxLevelWidth(const pc::FlatCircuit &flat)
-{
-    uint32_t widest = 0;
-    for (size_t l = 0; l < flat.numLevels(); ++l)
-        widest = std::max(widest,
-                          flat.levelOffset[l + 1] - flat.levelOffset[l]);
-    return widest;
 }
 
 /** Random partial assignments over the circuit's variables. */
@@ -219,29 +203,6 @@ TEST(ParallelEvaluator, DagBatchBitIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(ParallelCircuitEvaluator, ValuesBitIdenticalAcrossThreadCounts)
-{
-    Rng rng(23);
-    pc::Circuit c = pc::randomCircuit(rng, 768, 2, 4, 8);
-    pc::FlatCircuit flat(c);
-    ASSERT_GE(maxLevelWidth(flat), 2 * pc::kMinWavefrontNodesPerChunk)
-        << "circuit too small: level slices would never split";
-    auto xs = randomAssignments(rng, c, 6, 0.25);
-
-    util::ThreadPool serial(1);
-    pc::CircuitEvaluator ref(flat, &serial);
-    for (const auto &x : xs) {
-        std::span<const double> ref_vals = ref.evaluate(x);
-        std::vector<double> want(ref_vals.begin(), ref_vals.end());
-        for (unsigned threads : kThreadCounts) {
-            util::ThreadPool pool(threads);
-            pc::CircuitEvaluator eval(flat, &pool);
-            EXPECT_TRUE(bitIdentical(eval.evaluate(x), want))
-                << "threads=" << threads;
-        }
-    }
-}
-
 TEST(ParallelCircuitEvaluator, BatchBitIdenticalAcrossThreadCounts)
 {
     Rng rng(29);
@@ -271,8 +232,6 @@ TEST(ParallelFlowAccumulator, TotalsBitIdenticalAcrossThreadCounts)
     Rng rng(31);
     pc::Circuit c = pc::randomCircuit(rng, 768, 2, 4, 8);
     pc::FlatCircuit flat(c);
-    ASSERT_GE(maxLevelWidth(flat), 2 * pc::kMinWavefrontNodesPerChunk)
-        << "circuit too small: downward gather would never split";
     auto data = randomAssignments(rng, c, 12, 0.3);
 
     util::ThreadPool serial(1);
@@ -332,68 +291,6 @@ TEST(ParallelFlowAccumulator, ZeroProbabilityBranchesMatchSerial)
     }
 }
 
-TEST(ParallelDerivatives, BitIdenticalAcrossThreadCounts)
-{
-    Rng rng(47);
-    pc::Circuit c = pc::randomCircuit(rng, 768, 2, 4, 8);
-    pc::FlatCircuit flat(c);
-    ASSERT_GE(maxLevelWidth(flat), 2 * pc::kMinWavefrontNodesPerChunk)
-        << "circuit too small: derivative gather would never split";
-    auto xs = randomAssignments(rng, c, 6, 0.25);
-
-    util::ThreadPool serial(1);
-    pc::CircuitEvaluator ref(flat, &serial);
-    std::vector<double> want;
-    std::vector<double> got;
-    for (const auto &x : xs) {
-        std::span<const double> logv = ref.evaluate(x);
-        pc::logDerivativesInto(flat, logv, want, &serial);
-        for (unsigned threads : kThreadCounts) {
-            util::ThreadPool pool(threads);
-            pc::logDerivativesInto(flat, logv, got, &pool);
-            EXPECT_TRUE(bitIdentical(got, want))
-                << "threads=" << threads;
-        }
-    }
-}
-
-TEST(ParallelDerivatives, ZeroProbabilityBranchesMatchSerial)
-{
-    // Deterministic leaves force exact log-zero children under product
-    // nodes and zero-probability evidence, exercising the zeros==1 and
-    // zeros>=2 product branches of both derivative formulations.
-    pc::Circuit c(2, 2);
-    pc::NodeId a0 = c.addLeaf(0, {1.0, 0.0});
-    pc::NodeId a1 = c.addLeaf(1, {0.25, 0.75});
-    pc::NodeId b0 = c.addLeaf(0, {0.0, 1.0});
-    pc::NodeId b1 = c.addLeaf(1, {1.0, 0.0});
-    pc::NodeId pa = c.addProduct({a0, a1});
-    pc::NodeId pb = c.addProduct({b0, b1});
-    pc::NodeId pz = c.addProduct({a0, b0}); // always log-zero pair
-    c.markRoot(c.addSum({pa, pb, pz}, {0.5, 0.3, 0.2}));
-    pc::FlatCircuit flat(c);
-
-    std::vector<pc::Assignment> data{
-        {0, 0}, {0, 1}, {1, 0}, {1, 1},
-        {pc::kMissing, 1}, {0, pc::kMissing},
-        {pc::kMissing, pc::kMissing}};
-
-    util::ThreadPool serial(1);
-    pc::CircuitEvaluator ref(flat, &serial);
-    std::vector<double> want;
-    std::vector<double> got;
-    for (const auto &x : data) {
-        std::span<const double> logv = ref.evaluate(x);
-        pc::logDerivativesInto(flat, logv, want, &serial);
-        for (unsigned threads : kThreadCounts) {
-            util::ThreadPool pool(threads);
-            pc::logDerivativesInto(flat, logv, got, &pool);
-            EXPECT_TRUE(bitIdentical(got, want))
-                << "threads=" << threads;
-        }
-    }
-}
-
 TEST(ShardedFlows, DeterministicAcrossThreadCounts)
 {
     Rng rng(53);
@@ -434,9 +331,8 @@ TEST(ShardedFlows, DeterministicAcrossThreadCounts)
             << "threads=" << threads;
     }
 
-    // Datasets smaller than the auto target keep a single shard (and
-    // with it the per-sample wavefront engine): auto resolution is a
-    // function of the data alone, never of the workers.
+    // Datasets smaller than the auto target keep a single shard: auto
+    // resolution is a function of the data alone, never of the workers.
     std::vector<pc::Assignment> tiny(data.begin(), data.begin() + 4);
     for (unsigned threads : kThreadCounts) {
         util::ThreadPool pool(threads);
@@ -562,28 +458,11 @@ TEST(ShardedBaumWelch, DeterministicAcrossThreadCounts)
     }
 }
 
-TEST(FlatCircuitSchedule, LevelsAndTransposeAreConsistent)
+TEST(FlatCircuitSchedule, TransposeIsConsistent)
 {
     Rng rng(37);
     pc::Circuit c = pc::randomCircuit(rng, 32, 2, 3, 5);
     pc::FlatCircuit flat(c);
-
-    // Every node appears exactly once in the level schedule, and a
-    // node's children all sit in strictly lower levels.
-    std::vector<uint32_t> level_of(flat.numNodes(), ~0u);
-    size_t scheduled = 0;
-    for (size_t l = 0; l < flat.numLevels(); ++l)
-        for (uint32_t k = flat.levelOffset[l]; k < flat.levelOffset[l + 1];
-             ++k) {
-            ASSERT_EQ(level_of[flat.levelNodes[k]], ~0u);
-            level_of[flat.levelNodes[k]] = uint32_t(l);
-            ++scheduled;
-        }
-    EXPECT_EQ(scheduled, flat.numNodes());
-    for (size_t i = 0; i < flat.numNodes(); ++i)
-        for (uint32_t e = flat.edgeOffset[i]; e < flat.edgeOffset[i + 1];
-             ++e)
-            EXPECT_LT(level_of[flat.edgeTarget[e]], level_of[i]);
 
     // The transpose lists each forward edge exactly once, under its
     // child, in descending parent order.

@@ -1,9 +1,9 @@
 /**
  * @file
- * Randomized differential tests: the flat CSR engines (upward
- * evaluation, batched likelihoods, reverse-wavefront derivatives, flow
- * accumulation, sharded dataset flows) must agree with the seed
- * reference walkers (Circuit::evaluate / logLikelihood,
+ * Randomized differential tests: the flat CSR engines (single-row and
+ * batched likelihoods, flow accumulation, sharded dataset flows, and
+ * the posterior marginals answered from the flow pass) must agree with
+ * the seed reference walkers (Circuit::logLikelihood,
  * pc::logDerivatives, pc::computeFlows) to <= 1e-10 over hundreds of
  * generated circuit structures, including degenerate single-child,
  * all-zero-weight, and shared-sub-DAG shapes (tests/random_circuit.h).
@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -86,16 +86,12 @@ TEST(FlatRandomDifferential, LikelihoodsMatchSeedWalker)
                             c.logLikelihood(all_missing)))
             << "trial " << trial << " (logZ)";
 
-        // Per-node upward pass on partial assignments.
+        // Single-row root passes on partial assignments.
         auto xs = testutil::randomPartialAssignments(rng, c, 9, 0.3);
-        for (const auto &x : xs) {
-            std::vector<double> want = c.evaluate(x);
-            std::span<const double> got = eval.evaluate(x);
-            ASSERT_EQ(got.size(), want.size());
-            for (size_t i = 0; i < want.size(); ++i)
-                ASSERT_TRUE(logNear(got[i], want[i]))
-                    << "trial " << trial << " node " << i;
-        }
+        for (size_t i = 0; i < xs.size(); ++i)
+            EXPECT_TRUE(logNear(eval.logLikelihood(xs[i]),
+                                c.logLikelihood(xs[i])))
+                << "trial " << trial << " row " << i;
 
         // Batched path (full blocks plus scalar tail at 9 rows).
         std::vector<double> batch(xs.size());
@@ -106,37 +102,48 @@ TEST(FlatRandomDifferential, LikelihoodsMatchSeedWalker)
     }
 }
 
-TEST(FlatRandomDifferential, DerivativesMatchSeedWalker)
+TEST(FlatRandomDifferential, PosteriorMarginalsMatchSeedWalker)
 {
     Rng rng(919);
-    util::ThreadPool serial(1);
-    util::ThreadPool parallel(4);
+    size_t compared = 0;
     for (int trial = 0; trial < kNumCircuits; ++trial) {
         pc::Circuit c = testutil::randomTestCircuit(rng);
-        pc::FlatCircuit flat(c);
-        pc::CircuitEvaluator eval(flat, &serial);
         auto xs = testutil::randomPartialAssignments(rng, c, 4, 0.35);
-        std::vector<double> logd;
-        std::vector<double> logd_mt;
         for (const auto &x : xs) {
-            std::vector<double> want = pc::logDerivatives(c, x);
-            std::span<const double> logv = eval.evaluate(x);
-            pc::logDerivativesInto(flat, logv, logd, &serial);
-            ASSERT_EQ(logd.size(), want.size());
-            for (size_t i = 0; i < want.size(); ++i)
-                ASSERT_TRUE(logNear(logd[i], want[i]))
-                    << "trial " << trial << " node " << i;
+            const double log_e = c.logLikelihood(x);
+            if (log_e == kLogZero)
+                continue; // posteriorMarginals rejects such evidence
 
-            // The parallel reverse wavefront must agree with the
-            // serial reverse-id gather bit for bit, structure by
-            // structure.
-            pc::logDerivativesInto(flat, logv, logd_mt, &parallel);
-            for (size_t i = 0; i < logd.size(); ++i)
-                ASSERT_EQ(std::bit_cast<uint64_t>(logd_mt[i]),
-                          std::bit_cast<uint64_t>(logd[i]))
-                    << "trial " << trial << " node " << i;
+            // Seed reference: P(v = val | e) is the sum over v's
+            // leaves L of exp(log dRoot/dL + log dist_L[val] - log P(e)).
+            const std::vector<double> logd = pc::logDerivatives(c, x);
+            std::vector<std::vector<double>> want(
+                c.numVars(), std::vector<double>(c.arity(), 0.0));
+            for (pc::NodeId id = 0; id < c.numNodes(); ++id) {
+                const pc::PcNode &n = c.node(id);
+                if (n.type != pc::PcNodeType::Leaf ||
+                    x[n.var] != pc::kMissing)
+                    continue;
+                for (uint32_t val = 0; val < c.arity(); ++val)
+                    want[n.var][val] += std::exp(
+                        logd[id] + std::log(n.dist[val]) - log_e);
+            }
+            for (uint32_t v = 0; v < c.numVars(); ++v)
+                if (x[v] != pc::kMissing)
+                    want[v][x[v]] = 1.0;
+
+            const pc::MarginalTable got = pc::posteriorMarginals(c, x);
+            ASSERT_EQ(got.prob.size(), c.numVars());
+            for (uint32_t v = 0; v < c.numVars(); ++v)
+                for (uint32_t val = 0; val < c.arity(); ++val)
+                    ASSERT_NEAR(got.prob[v][val], want[v][val], kTol)
+                        << "trial " << trial << " var " << v << " val "
+                        << val;
+            ++compared;
         }
     }
+    // The zero-probability skip must leave most cases compared.
+    EXPECT_GT(compared, size_t(kNumCircuits) * 2);
 }
 
 TEST(FlatRandomDifferential, EmFlowsMatchSeedWalker)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for advanced probabilistic-circuit queries: conditionals,
- * posterior marginals (log-space backward pass) against brute-force
- * enumeration, conditional sampling frequencies, entropy, expectations,
- * and mutual information, over random circuit sweeps.
+ * posterior marginals (one flow pass) against brute-force enumeration
+ * and their evidence checks, conditional sampling frequencies, entropy,
+ * expectations, and mutual information, over random circuit sweeps.
  */
 
 #include <cmath>
@@ -185,6 +185,38 @@ TEST(Queries, LogDerivativesSumToValueTimesCount)
     }
     for (uint32_t v = 0; v < 6; ++v)
         EXPECT_NEAR(per_var[v], logv[c.root()], 1e-9) << "var " << v;
+}
+
+TEST(Queries, PosteriorMarginalsRejectOutOfRangeEvidence)
+{
+    // Variable 1 has no leaf, so the flow pass never reads its value:
+    // the range check must come before the table is written.
+    Circuit leafless(2, 2);
+    leafless.markRoot(leafless.addLeaf(0, {0.3, 0.7}));
+    EXPECT_DEATH(posteriorMarginals(leafless, {kMissing, 7}),
+                 "evidence value out of range");
+
+    // Variable 1's only leaf sits under a zero-weight edge, which the
+    // flow kernel's program drops together with the leaf.
+    Circuit dropped(2, 2);
+    NodeId a = dropped.addLeaf(0, {0.3, 0.7});
+    NodeId b = dropped.addLeaf(1, {0.6, 0.4});
+    NodeId p = dropped.addProduct({a, b});
+    NodeId root = dropped.addSum({a, p}, {0.5, 0.5});
+    dropped.mutableNode(root).weights[1] = 0.0;
+    dropped.markRoot(root);
+    EXPECT_DEATH(posteriorMarginals(dropped, {0, 7}),
+                 "evidence value out of range");
+}
+
+TEST(Queries, PosteriorMarginalsRejectZeroProbabilityEvidence)
+{
+    Circuit c(2, 2);
+    NodeId a = c.addLeaf(0, {1.0, 0.0});
+    NodeId b = c.addLeaf(1, {0.5, 0.5});
+    c.markRoot(c.addProduct({a, b}));
+    EXPECT_DEATH(posteriorMarginals(c, {1, kMissing}),
+                 "evidence has zero probability");
 }
 
 TEST(Queries, ConditionalSamplingFrequencies)

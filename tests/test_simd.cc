@@ -9,8 +9,8 @@
  *    ways);
  *  - the transcendentals meet their documented accuracy contracts
  *    against libm;
- *  - masked loads/stores, fixed-shape reductions, logSumExpMasked and
- *    addInto behave exactly as specified;
+ *  - masked loads/stores, fixed-shape reductions and addInto behave
+ *    exactly as specified;
  *  - batched circuit evaluation is bit-identical to the single-row
  *    walk for every batch size (tail/remainder lanes) and thread
  *    count, and stays within 1e-10 of the seed reference walker;
@@ -105,10 +105,9 @@ runTable(const simd::KernelTable &t, const pc::FlatCircuit &flat,
 
 /**
  * The root-pass contracts on one circuit: the single-row pass agrees
- * with evaluate()[root] to 1e-12 relative and (given `seed`) with the
- * seed walker to 1e-10, exact zeros are exactly -inf everywhere, and
- * every batch shape and kernel table reproduces the single-row bits.
- * Returns the single-row values.
+ * (given `seed`) with the seed walker to 1e-10, exact zeros are exactly
+ * -inf, and every batch shape and kernel table reproduces the
+ * single-row bits.  Returns the single-row values.
  */
 std::vector<double>
 expectRootPassContracts(const pc::FlatCircuit &flat,
@@ -120,13 +119,6 @@ expectRootPassContracts(const pc::FlatCircuit &flat,
     std::vector<double> want(xs.size());
     for (size_t i = 0; i < xs.size(); ++i) {
         want[i] = eval.logLikelihood(xs[i]);
-        const double logv = eval.evaluate(xs[i])[flat.root];
-        if (logv == kLogZero) {
-            EXPECT_EQ(want[i], kLogZero) << "row " << i;
-        } else {
-            EXPECT_NEAR(want[i], logv, 1e-12 * std::max(1.0, std::fabs(logv)))
-                << "row " << i;
-        }
         if (seed != nullptr) {
             const double ref = seed->logLikelihood(xs[i]);
             if (ref == kLogZero)
@@ -284,40 +276,6 @@ TEST(SimdPack, MaskedLoadStoreTouchOnlyLiveLanes)
     }
 }
 
-TEST(SimdKernels, LogSumExpMaskedMatchesLogAddChain)
-{
-    Rng rng(19);
-    double max_diff = 0.0;
-    for (int iter = 0; iter < 5000; ++iter) {
-        const size_t n = size_t(rng.uniformInt(0, 25));
-        std::vector<double> xs(n);
-        for (auto &x : xs) {
-            x = rng.uniformReal(-60.0, 0.0);
-            if (rng.bernoulli(0.3))
-                x = kLogZero; // must act as an exact identity
-        }
-        double chain = kLogZero;
-        for (double x : xs)
-            chain = logAdd(chain, x);
-        const double lse = simd::logSumExpMasked(xs.data(), n);
-        if (chain == kLogZero) {
-            EXPECT_EQ(lse, kLogZero) << "n=" << n;
-            continue;
-        }
-        max_diff = std::max(max_diff, std::fabs(lse - chain));
-    }
-    EXPECT_LT(max_diff, 1e-13);
-
-    // Single-term exactness: LSE({t}) == t bit for bit (the identity
-    // the derivative gather's fan-in-1 fast path relies on).
-    for (double t : {-3.25, 0.0, -700.0, kLogZero}) {
-        double buf[2] = {t, kLogZero};
-        EXPECT_EQ(bits(simd::logSumExpMasked(buf, 1)), bits(t));
-        EXPECT_EQ(bits(simd::logSumExpMasked(buf, 2)), bits(t));
-    }
-    EXPECT_EQ(simd::logSumExpMasked(nullptr, 0), kLogZero);
-}
-
 TEST(SimdKernels, AddIntoMatchesScalarLoop)
 {
     Rng rng(27);
@@ -375,14 +333,10 @@ TEST(SimdDispatch, AllRunnableKernelTablesAgreeBitwise)
             scale[i] = rng.uniformReal(0.0, 2.0);
         }
 
-        const double lse0 = tables[0]->logSumExpMasked(xs.data(), n);
         std::vector<double> add0(xs.begin(), xs.end());
         tables[0]->addInto(add0.data(), scale.data(), n);
 
         for (size_t t = 1; t < count; ++t) {
-            EXPECT_EQ(bits(tables[t]->logSumExpMasked(xs.data(), n)),
-                      bits(lse0))
-                << tables[t]->isa;
             std::vector<double> add(xs.begin(), xs.end());
             tables[t]->addInto(add.data(), scale.data(), n);
             for (size_t i = 0; i < n; ++i)
@@ -483,8 +437,8 @@ TEST(SimdCircuit, BatchStaysWithinDifferentialContractOfSeedWalker)
 // ---------------------------------------------------------------------------
 // The exponent-tracked linear domain at its edges (simd::runSlotProgram):
 // each case checks the full root-pass contract set of
-// expectRootPassContracts — seed walker, evaluate(), batch shapes and
-// every kernel table.
+// expectRootPassContracts — seed walker, batch shapes and every kernel
+// table.
 // ---------------------------------------------------------------------------
 
 TEST(LinearRootPass, WideProductRenormalizesItsMantissas)
@@ -608,8 +562,9 @@ TEST(LinearRootPass, ZeroMassIsExactlyMinusInfinity)
     direct.edgeLogWeight = {kLogZero};
     direct.root = 1;
     direct.finalizeTopology();
-    expectRootPassContracts(direct, {{0}, {1}, {pc::kMissing}}, nullptr);
-    EXPECT_EQ(pc::CircuitEvaluator(direct).logLikelihood({0}), kLogZero);
+    for (double v :
+         expectRootPassContracts(direct, {{0}, {1}, {pc::kMissing}}, nullptr))
+        EXPECT_EQ(v, kLogZero);
 
     // An UNSAT formula's WMC circuit is constant false.
     logic::CnfFormula unsat(2);
